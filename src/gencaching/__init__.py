@@ -57,6 +57,7 @@ from .reductions import (
     ReductionOutput,
     default_H,
     edge_page_id,
+    generate,
     graph_from_text,
     graph_to_text,
     optional_to_forced,

@@ -34,6 +34,7 @@ from .reductions import (
     MODELS,
     MODEL_SIMPLE,
     Graph,
+    generate,
     graph_from_text,
     optional_to_forced,
     reduction_from_text,
@@ -47,7 +48,6 @@ from .solver import (
     solve_brute_force,
     solve_exact,
 )
-from .harness import _generate  # shared model dispatch
 
 
 def _load_graph(spec: str) -> Graph:
@@ -77,7 +77,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    output = _generate(graph, args.model, args.H)
+    output = generate(graph, args.model, args.H)
     if args.policy == "forced":
         text = instance_to_text(optional_to_forced(output))
     else:

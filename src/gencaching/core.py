@@ -18,6 +18,7 @@ moment it is served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -317,21 +318,22 @@ def merged_occupancy_runs(
     return runs
 
 
-def occupancy_profile(instance: Instance, service: Service) -> list[int]:
-    """Total cached size at every position (length = number of requests)."""
+def _occupancy(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> list[int]:
+    """Total cached size at every position, from the merged runs."""
     n = len(instance.requests)
     diff = [0] * (n + 1)
-    for pid, runs in merged_occupancy_runs(instance, service).items():
+    for pid, rs in runs.items():
         size = instance.pages[pid].size
-        for s, e in runs:
+        for s, e in rs:
             diff[s] += size
             diff[e + 1] -= size
-    profile: list[int] = []
-    acc = 0
-    for t in range(n):
-        acc += diff[t]
-        profile.append(acc)
-    return profile
+    diff.pop()  # the slot past the last position
+    return list(accumulate(diff))
+
+
+def occupancy_profile(instance: Instance, service: Service) -> list[int]:
+    """Total cached size at every position (length = number of requests)."""
+    return _occupancy(instance, merged_occupancy_runs(instance, service))
 
 
 @dataclass(frozen=True)
@@ -350,22 +352,9 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     must satisfy size(p) + occupancy(t) <= capacity under `forced`.
     """
     runs = merged_occupancy_runs(instance, service)
-    n = len(instance.requests)
-    diff = [0] * (n + 1)
-    for pid, rs in runs.items():
-        size = instance.pages[pid].size
-        for s, e in rs:
-            diff[s] += size
-            diff[e + 1] -= size
+    profile = _occupancy(instance, runs)
     cap = instance.capacity
-    capacity_violations: list[int] = []
-    profile = [0] * n
-    acc = 0
-    for t in range(n):
-        acc += diff[t]
-        profile[t] = acc
-        if acc > cap:
-            capacity_violations.append(t)
+    capacity_violations = [t for t, load in enumerate(profile) if load > cap]
     forced_violations: list[int] = []
     if instance.policy == FORCED:
         cursor: dict[str, int] = {}

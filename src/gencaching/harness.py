@@ -18,17 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import savings, validate_service
 from .properties import check_properties, construct_service_from_is, extract_is
-from .reductions import (
-    Graph,
-    MODEL_BIT,
-    MODEL_FAULT,
-    MODEL_SIMPLE,
-    MODELS,
-    ReductionOutput,
-    reduce_bit_optional,
-    reduce_fault_optional,
-    reduce_simple,
-)
+from .reductions import Graph, MODEL_SIMPLE, generate
 from .solver import BudgetExceeded, solve_exact
 
 MAX_ORACLE_VERTICES = 24
@@ -99,16 +89,6 @@ class RoundTripReport:
     seconds: float
 
 
-def _generate(graph: Graph, model: str, H: int | None) -> ReductionOutput:
-    if model == MODEL_SIMPLE:
-        return reduce_simple(graph)
-    if model == MODEL_FAULT:
-        return reduce_fault_optional(graph, H)
-    if model == MODEL_BIT:
-        return reduce_bit_optional(graph, H)
-    raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
-
-
 def round_trip(
     graph: Graph,
     model: str,
@@ -118,7 +98,7 @@ def round_trip(
     graph_id: str = "",
 ) -> RoundTripReport:
     started = time.perf_counter()
-    output = _generate(graph, model, H)
+    output = generate(graph, model, H)
     properties_ok = check_properties(output).all_ok
     k_oracle, max_set = max_independent_set(graph)
     base = output.threshold(0)

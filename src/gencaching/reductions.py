@@ -444,6 +444,17 @@ def reduce_simple(graph: Graph) -> ReductionOutput:
     return out
 
 
+def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
+    """The reduction of `graph` in `model`; `H` is ignored by `simple`."""
+    if model == MODEL_SIMPLE:
+        return reduce_simple(graph)
+    if model == MODEL_FAULT:
+        return reduce_fault_optional(graph, H)
+    if model == MODEL_BIT:
+        return reduce_bit_optional(graph, H)
+    raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
+
+
 def optional_to_forced(
     source: ReductionOutput | Instance, *, new_page_cost: int | None = None
 ) -> Instance:
@@ -553,6 +564,8 @@ def reduction_from_text(text: str) -> ReductionOutput:
         phase_order = tuple(int(t) for t in phase_tokens)
     except ValueError:
         raise FormatError("bad phases line") from None
+    if sorted(phase_order) != list(range(n)):
+        raise FormatError(f"phases must list each of the {n} vertices once")
     (count_token,) = need("roles", 1)
     try:
         count = int(count_token)
@@ -568,6 +581,8 @@ def reduction_from_text(text: str) -> ReductionOutput:
         pid, role, edge_t, group_t, vertex_t = parts
         if pid in roles:
             raise FormatError(f"line {idx + 1}: duplicate role for page {pid!r}")
+        if role != ROLE_VERTEX and role not in EDGE_ROLE_ORDER:
+            raise FormatError(f"line {idx + 1}: unknown role {role!r}")
         roles[pid] = PageRole(
             role,
             edge=_opt_int(edge_t, idx + 1),

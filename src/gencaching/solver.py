@@ -6,7 +6,10 @@ a request to page p exactly two decisions exist in a normalized service: close
 p's coverage (evict after serving) or keep p until its next request (open the
 gap).  States are bitmasks over pages; each layer keeps the best savings per
 mask, so the sweep is exponential only in the number of simultaneously "live"
-pages, not in the request count.
+pages, not in the request count.  Each state carries its chosen gaps forward
+as a chain of the positions where they open, shared with the states it came
+from, so no earlier layer is kept and no backward walk is needed.  Per mask,
+the first state reached with the best savings is kept.
 
 `solve_brute_force` enumerates every subset of gaps and validates each one
 against the core validator; it is the independent oracle for the DP and is
@@ -15,6 +18,7 @@ guarded to small gap counts.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .core import (
@@ -58,8 +62,13 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     """Optimal savings plus a witness service, by the boundary-state sweep.
 
     `budget` caps the number of states in any single layer; exceeding it
-    raises BudgetExceeded (never a wrong answer).  The witness is
-    deterministic: ties are resolved by a fixed reconstruction order.
+    raises BudgetExceeded (never a wrong answer).  Each state carries the
+    positions where its chosen gaps open as a cons list shared with the
+    states it came from, and the witness is read off the final state.  Only
+    the current and the next layer are alive, so the budget bounds memory
+    too: two layers of states plus their shared chains.  The witness is
+    deterministic: per mask, the first state reached with the best savings
+    is kept.
     """
     reqs = instance.requests
     n = len(reqs)
@@ -89,80 +98,75 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
 
     cap = instance.capacity
     forced = instance.policy == FORCED
-    # Layer t maps mask -> best savings after deciding position t; sizes are
-    # carried alongside during the sweep and dropped when archiving.
-    cur: dict[int, tuple[int, int]] = {0: (0, 0)}
-    layers: list[dict[int, int]] = []
+    # A layer maps mask -> (best savings, cached size, chain) after deciding
+    # position t.  A chain is None or a cell (t, rest): the gap opened at t
+    # was chosen.  Cells are shared between states and hold only ints, None
+    # and other cells, so they form no reference cycles; the cyclic collector
+    # is paused during the sweep, since the long-lived cells would otherwise
+    # trigger many full collections.
+    cur: dict[int, tuple] = {0: (0, 0, None)}
     states = 0
     transitions = 0
-    for t in range(n):
-        bit = req_bit[t]
-        sizep = req_size[t]
-        costp = req_cost[t]
-        can_open = req_open[t]
-        nxt: dict[int, tuple[int, int]] = {}
-        for mask, (sav, size) in cur.items():
-            has = mask & bit
-            gain = sav + costp if has else sav
-            # Close: evict p after serving.  Under forced, serving an
-            # uncovered page must fit next to the current occupancy.
-            if has or not forced or size + sizep <= cap:
-                m2 = mask & ~bit
-                s2 = size - sizep if has else size
-                transitions += 1
-                old = nxt.get(m2)
-                if old is None or gain > old[0]:
-                    nxt[m2] = (gain, s2)
-            # Open: keep p cached until its next request.
-            if can_open:
-                if has:
-                    m3, s3 = mask, size
-                else:
-                    m3, s3 = mask | bit, size + sizep
-                if s3 <= cap:
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for t in range(n):
+            bit = req_bit[t]
+            sizep = req_size[t]
+            costp = req_cost[t]
+            can_open = req_open[t]
+            nxt: dict[int, tuple] = {}
+            for mask, state in cur.items():
+                sav, size, chain = state
+                if mask & bit:
+                    # p is cached, so serving it saves its cost.  Close:
+                    # evict p after serving.  Open: keep it for its next gap.
+                    gain = sav + costp
+                    m2 = mask & ~bit
                     transitions += 1
-                    old = nxt.get(m3)
+                    old = nxt.get(m2)
                     if old is None or gain > old[0]:
-                        nxt[m3] = (gain, s3)
-        if not nxt:
-            raise BudgetExceeded(f"no feasible state at position {t}")
-        if len(nxt) > budget:
-            raise BudgetExceeded(
-                f"layer {t} holds {len(nxt)} states, over the budget of {budget}"
-            )
-        states += len(nxt)
-        layers.append({m: v[0] for m, v in nxt.items()})
-        cur = nxt
+                        nxt[m2] = (gain, size - sizep, chain)
+                    if can_open:
+                        transitions += 1
+                        old = nxt.get(mask)
+                        if old is None or gain > old[0]:
+                            nxt[mask] = (gain, size, (t, chain))
+                else:
+                    # Close leaves the state as it is; under forced, serving
+                    # the uncovered p must fit next to the current occupancy.
+                    # Open must fit p into the cache until its next request.
+                    fits = size + sizep <= cap
+                    if fits or not forced:
+                        transitions += 1
+                        old = nxt.get(mask)
+                        if old is None or sav > old[0]:
+                            nxt[mask] = state
+                    if can_open and fits:
+                        transitions += 1
+                        m3 = mask | bit
+                        old = nxt.get(m3)
+                        if old is None or sav > old[0]:
+                            nxt[m3] = (sav, size + sizep, (t, chain))
+            if not nxt:
+                raise BudgetExceeded(f"no feasible state at position {t}")
+            if len(nxt) > budget:
+                raise BudgetExceeded(
+                    f"layer {t} holds {len(nxt)} states, over the budget of {budget}"
+                )
+            states += len(nxt)
+            cur = nxt
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
-    best_mask = min(cur, key=lambda m: (-cur[m][0], m))
-    best = cur[best_mask][0]
-
-    # Walk backwards.  The candidate predecessor without p's bit is tried
-    # first, which fixes the witness among equally good services.
+    # No page is requested after the last position, so every gap has closed
+    # and the final layer holds the empty mask alone.
+    best, _, chain = cur[0]
     chosen: list[tuple[str, int]] = []
-    mask = best_mask
-    sav = best
-    for t in range(n - 1, -1, -1):
-        bit = req_bit[t]
-        costp = req_cost[t]
-        if mask & bit:
-            chosen.append((reqs[t].page, req_ord[t]))
-            candidates = (mask & ~bit, mask)
-        else:
-            candidates = (mask, mask | bit)
-        prev_layer = layers[t - 1] if t > 0 else {0: 0}
-        for cand in candidates:
-            prev_sav = prev_layer.get(cand)
-            if prev_sav is None:
-                continue
-            gain = costp if cand & bit else 0
-            if prev_sav + gain == sav:
-                mask = cand
-                sav = prev_sav
-                break
-        else:  # pragma: no cover - the forward pass guarantees a predecessor
-            raise AssertionError("witness reconstruction lost the optimal path")
-
+    while chain is not None:
+        t, chain = chain
+        chosen.append((reqs[t].page, req_ord[t]))
     return SolveResult(best, Service.of(chosen), SolveStats(states, transitions))
 
 

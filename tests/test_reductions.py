@@ -15,6 +15,7 @@ from gencaching import (
     OPTIONAL,
     default_H,
     edge_page_id,
+    generate,
     graph_from_text,
     graph_to_text,
     instance_to_text,
@@ -289,6 +290,23 @@ def test_simple_optimum_frozen():
 # --- optional-to-forced transform ----------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "model, reduce",
+    [
+        (MODEL_FAULT, lambda: reduce_fault_optional(K3, H=2)),
+        (MODEL_BIT, lambda: reduce_bit_optional(K3, H=2)),
+        (MODEL_SIMPLE, lambda: reduce_simple(K3)),
+        ("made-up", None),
+    ],
+)
+def test_generate_dispatches_on_model(model, reduce):
+    if reduce is None:
+        with pytest.raises(ValueError):
+            generate(K3, model, 2)
+    else:
+        assert generate(K3, model, 2) == reduce()
+
+
 def test_forced_transform_structure():
     inst = make_instance(
         3, [("a", 2, 5), ("b", 1, 1)], [("a", None), ("b", None), ("a", None)], ()
@@ -371,3 +389,7 @@ def test_reduction_text_rejects_apocrypha():
         reduction_from_text(text.replace("model fault", "model made-up"))
     with pytest.raises(FormatError):
         reduction_from_text(instance_to_text(out.instance))
+    with pytest.raises(FormatError):
+        reduction_from_text(text.replace("e0.1.lead_in lead_in", "e0.1.lead_in lead_up"))
+    with pytest.raises(FormatError):
+        reduction_from_text(text.replace("phases 0 1", "phases 0 0 7"))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencaching import (
+    CORPUS,
     BudgetExceeded,
     FORCED,
     IntervalPackingInstance,
@@ -21,6 +23,7 @@ from gencaching import (
     make_instance,
     optional_to_forced,
     packing_to_text,
+    reduce_bit_optional,
     savings,
     solve_brute_force,
     solve_exact,
@@ -121,6 +124,19 @@ def test_witness_is_deterministic():
         inst = random_tiny_instance(rng)
         assert solve_exact(inst).witness == solve_exact(inst).witness
         assert solve_brute_force(inst).witness == solve_brute_force(inst).witness
+
+
+def test_exact_solve_keeps_no_layer_archive():
+    # Two layers plus shared witness chains fit well under 256 KiB; keeping
+    # every layer of this solve would take about 1.5 MiB.
+    inst = reduce_bit_optional(CORPUS["C4"], H=1).instance
+    tracemalloc.start()
+    try:
+        solve_exact(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_savings_monotone_in_capacity():
