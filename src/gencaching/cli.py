@@ -8,7 +8,8 @@ from pathlib import Path
 
 from .core import (
     FormatError,
-    instance_from_text,
+    _LineReader,
+    _read_instance,
     instance_to_text,
     service_from_text,
     service_to_text,
@@ -34,6 +35,7 @@ from .reductions import (
     MODELS,
     MODEL_SIMPLE,
     Graph,
+    _read_sidecar,
     generate,
     graph_from_text,
     optional_to_forced,
@@ -61,11 +63,11 @@ def _load_reduction(path: str):
 
 
 def _load_instance_or_reduction(path: str):
-    text = Path(path).read_text()
-    try:
-        return reduction_from_text(text).instance
-    except FormatError:
-        return instance_from_text(text)
+    r = _LineReader(Path(path).read_text())
+    instance = _read_instance(r)
+    if r.at_end():
+        return instance
+    return _read_sidecar(r, instance).instance
 
 
 def _write_or_print(text: str, out: str | None) -> None:

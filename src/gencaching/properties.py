@@ -179,10 +179,10 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
                     if role.edge == j and role.role == role_name
                 }
                 got = seen.get(j, [])
-                if len(got) != len(set(got)) or set(got) != expected:
+                if len(got) != len(set(got)) or set(got) != expected or len(got) != output.H:
                     witness = (
                         f"block {border.id}: edge {j} requests {sorted(got)} "
-                        f"!= its {role_name} pages"
+                        f"!= its {output.H} {role_name} pages"
                     )
                     break
             if witness:

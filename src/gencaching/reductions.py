@@ -45,7 +45,8 @@ from .core import (
     Instance,
     InstanceError,
     Page,
-    instance_from_lines,
+    _LineReader,
+    _read_instance,
     instance_to_text,
     make_instance,
 )
@@ -125,32 +126,23 @@ def graph_to_text(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FormatError("empty graph file")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise FormatError("first line must be '<n> <m>'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError("first line must be '<n> <m>'") from None
-    if len(lines) != 1 + m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"bad edge line {line!r}") from None
+def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     try:
         return Graph(n, tuple(edges))
     except InstanceError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def graph_from_text(text: str) -> Graph:
+    r = _LineReader(text)
+    ((n_token, m_token),) = r.rows(1, 2, "<n> <m>")
+    n = r.integer(n_token, "n")
+    edges = [
+        (r.integer(u, "vertex"), r.integer(v, "vertex"))
+        for u, v in r.rows(r.integer(m_token, "m"), 2, "<u> <v>")
+    ]
+    r.end("the edge list")
+    return _graph(n, edges)
 
 
 @dataclass(frozen=True)
@@ -514,93 +506,36 @@ def reduction_to_text(output: ReductionOutput) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _opt_int(token: str, lineno: int) -> int | None:
-    if token == "-":
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integer or '-', got {token!r}") from None
+def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
+    """The reduction of `instance` from the sidecar that follows it in `r`."""
+    (model,) = r.keyword("model", 1)
+    if model not in MODELS:
+        raise r.error(f"unknown model {model!r}")
+    H = r.value("H")
+    if H < 1 or (model == MODEL_SIMPLE and H != 1):
+        raise r.error(f"H {H} is not valid for the {model} model")
+    n_token, m_token = r.keyword("graph", 2)
+    n = r.integer(n_token, "n")
+    edges = []
+    for _ in range(r.integer(m_token, "m")):
+        u, v = r.keyword("edge", 2)
+        edges.append((r.integer(u, "vertex"), r.integer(v, "vertex")))
+    phase_order = tuple(r.integer(v, "vertex") for v in r.keyword("phases", n))
+    if sorted(phase_order) != list(range(n)):
+        raise r.error(f"phases must list each of the {n} vertices once")
+    roles: dict[str, PageRole] = {}
+    shape = "<page-id> <role> <edge|-> <group|-> <vertex|->"
+    for pid, role, *fields in r.rows(r.value("roles"), 5, shape):
+        if pid in roles:
+            raise r.error(f"duplicate role for page {pid!r}")
+        if role != ROLE_VERTEX and role not in EDGE_ROLE_ORDER:
+            raise r.error(f"unknown role {role!r}")
+        edge, group, vertex = [None if t == "-" else r.integer(t, "role field") for t in fields]
+        roles[pid] = PageRole(role, edge, group, vertex)
+    r.end("roles section")
+    return ReductionOutput(instance, model, _graph(n, edges), H, roles, phase_order)
 
 
 def reduction_from_text(text: str) -> ReductionOutput:
-    lines = text.splitlines()
-    instance, idx = instance_from_lines(lines)
-
-    def need(keyword: str, argc: int | None = None) -> list[str]:
-        nonlocal idx
-        if idx >= len(lines):
-            raise FormatError(f"unexpected end of input, expected '{keyword} ...'")
-        parts = lines[idx].split()
-        if not parts or parts[0] != keyword:
-            raise FormatError(f"line {idx + 1}: expected '{keyword} ...', got {lines[idx]!r}")
-        if argc is not None and len(parts) != argc + 1:
-            raise FormatError(f"line {idx + 1}: '{keyword}' takes {argc} argument(s)")
-        idx += 1
-        return parts[1:]
-
-    (model,) = need("model", 1)
-    if model not in MODELS:
-        raise FormatError(f"unknown model {model!r}")
-    (h_token,) = need("H", 1)
-    try:
-        H = int(h_token)
-    except ValueError:
-        raise FormatError(f"bad H value {h_token!r}") from None
-    n_token, m_token = need("graph", 2)
-    try:
-        n, m = int(n_token), int(m_token)
-    except ValueError:
-        raise FormatError("bad graph header") from None
-    edges = []
-    for _ in range(m):
-        u_token, v_token = need("edge", 2)
-        try:
-            edges.append((int(u_token), int(v_token)))
-        except ValueError:
-            raise FormatError("bad edge line") from None
-    phase_tokens = need("phases")
-    try:
-        phase_order = tuple(int(t) for t in phase_tokens)
-    except ValueError:
-        raise FormatError("bad phases line") from None
-    if sorted(phase_order) != list(range(n)):
-        raise FormatError(f"phases must list each of the {n} vertices once")
-    (count_token,) = need("roles", 1)
-    try:
-        count = int(count_token)
-    except ValueError:
-        raise FormatError("bad roles header") from None
-    roles: dict[str, PageRole] = {}
-    for _ in range(count):
-        if idx >= len(lines):
-            raise FormatError("unexpected end of input in roles section")
-        parts = lines[idx].split()
-        if len(parts) != 5:
-            raise FormatError(f"line {idx + 1}: expected '<page-id> <role> <edge|-> <group|-> <vertex|->'")
-        pid, role, edge_t, group_t, vertex_t = parts
-        if pid in roles:
-            raise FormatError(f"line {idx + 1}: duplicate role for page {pid!r}")
-        if role != ROLE_VERTEX and role not in EDGE_ROLE_ORDER:
-            raise FormatError(f"line {idx + 1}: unknown role {role!r}")
-        roles[pid] = PageRole(
-            role,
-            edge=_opt_int(edge_t, idx + 1),
-            group=_opt_int(group_t, idx + 1),
-            vertex=_opt_int(vertex_t, idx + 1),
-        )
-        idx += 1
-    if any(line.strip() for line in lines[idx:]):
-        raise FormatError(f"line {idx + 1}: trailing content after roles section")
-    try:
-        graph = Graph(n, tuple(edges))
-    except InstanceError as exc:
-        raise FormatError(str(exc)) from exc
-    return ReductionOutput(
-        instance=instance,
-        model=model,
-        graph=graph,
-        H=H,
-        page_roles=roles,
-        phase_order=phase_order,
-    )
+    r = _LineReader(text)
+    return _read_sidecar(r, _read_instance(r))

@@ -136,3 +136,11 @@ def test_malformed_instance_is_a_clean_error(tmp_path, capsys):
 def test_graph_text_helper_round_trips_corpus():
     text = graph_to_text(base_output().graph)
     assert text.splitlines()[0] == "3 2"
+
+
+def test_bad_sidecar_is_reported_as_such(tmp_path, capsys):
+    red = tmp_path / "k2.reduction"
+    main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])
+    red.write_text(red.read_text().replace("model fault", "model faulty"))
+    assert main(["solve", "--in", str(red)]) == 2
+    assert "unknown model" in capsys.readouterr().err

@@ -3,25 +3,34 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencaching import (
+    CORPUS,
     FORCED,
+    MODELS,
     FormatError,
     Gap,
+    Graph,
     InstanceError,
     InvalidServiceError,
     OPTIONAL,
     Service,
     UnknownGapError,
     enumerate_gaps,
+    generate,
+    graph_from_text,
+    graph_to_text,
     instance_from_text,
     instance_to_text,
     make_instance,
     occupancy_profile,
+    reduction_from_text,
+    reduction_to_text,
     savings,
     service_from_text,
     service_to_text,
@@ -216,6 +225,11 @@ def test_service_text_round_trip():
         "caching-instance 1\ncache x\npolicy optional\nscale 1\npages 0\nblocks 0\nrequests 0\n",
         "caching-instance 1\ncache 4\npolicy sometimes\nscale 1\npages 0\nblocks 0\nrequests 0\n",
         "caching-instance 1\ncache 4\npolicy optional\nscale 1\npages 1\nblocks 0\nrequests 0\n",
+        "caching-instance 1\ncache 0_3\npolicy optional\nscale 1\npages 0\nblocks 0\nrequests 0\n",
+        "caching-instance 1\ncache +3\npolicy optional\nscale 1\npages 0\nblocks 0\nrequests 0\n",
+        "caching-instance 1\ncache \u0663\npolicy optional\nscale 1\npages 0\nblocks 0\nrequests 0\n",
+        "caching-instance 1\ncache 4\npolicy optional\nscale 1\npages 0\n"
+        "blocks 3\n0 initial\n1 inserted\u00b2\n2 final\nrequests 0\n",
     ],
 )
 def test_malformed_instance_text_rejected(text):
@@ -224,10 +238,15 @@ def test_malformed_instance_text_rejected(text):
 
 
 def test_malformed_service_text_rejected():
-    with pytest.raises(FormatError):
-        service_from_text("service 2\n")
-    with pytest.raises(FormatError):
-        service_from_text("service 1\np\n")
+    for text, where in [
+        ("service 2\n", "line 1"),
+        ("service 1\np\n", "line 2"),
+        ("service 1\nv0 \u0663\n", "line 2"),
+        ("service 1\n\n\nv0 x\n", "line 4"),
+        ("service 1\nv0 0\nv0 0\n", "line 3: duplicate"),
+    ]:
+        with pytest.raises(FormatError, match=where):
+            service_from_text(text)
 
 
 # --- property-based invariants -------------------------------------------
@@ -280,3 +299,67 @@ def test_savings_never_exceed_total_gap_cost(pair):
     if validate_service(inst, svc).ok:
         total = sum(inst.pages[g.page].cost for g in enumerate_gaps(inst))
         assert 0 <= savings(inst, svc) <= total
+
+
+# --- text format fuzzing ---------------------------------------------------
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 5))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, tuple(e for e in pairs if draw(st.booleans())))
+
+
+corpus = st.sampled_from(list(CORPUS.values()))
+
+# Per format: writer, parser, and a strategy for the values it writes.
+FORMATS = {
+    "instance": (instance_to_text, instance_from_text, instance_and_service().map(lambda p: p[0])),
+    "service": (service_to_text, service_from_text, instance_and_service().map(lambda p: p[1])),
+    "graph": (graph_to_text, graph_from_text, st.one_of(corpus, graphs())),
+    "reduction": (
+        reduction_to_text,
+        reduction_from_text,
+        st.builds(generate, corpus, st.sampled_from(MODELS), st.integers(1, 2)),
+    ),
+}
+NOT_INTEGERS = ["x", "-1", "+1", "1_0", "1.0", "\u0663", "\u00b2"]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_round_trip_is_exact(fmt, data):
+    write, parse, values = FORMATS[fmt]
+    value = data.draw(values)
+    text = write(value)
+    again = parse(text)
+    assert again == value
+    assert write(again) == text
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_garbage_integer_is_a_format_error(fmt, data):
+    write, parse, values = FORMATS[fmt]
+    lines = [line.split() for line in write(data.draw(values)).splitlines()]
+    integers = [(i, j) for i, parts in enumerate(lines) for j, t in enumerate(parts) if t.isdigit()]
+    i, j = data.draw(st.sampled_from(integers))
+    lines[i][j] = data.draw(st.sampled_from(NOT_INTEGERS))
+    with pytest.raises(FormatError):
+        parse("\n".join(" ".join(parts) for parts in lines) + "\n")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_blank_lines_change_nothing(fmt, data):
+    write, parse, values = FORMATS[fmt]
+    value = data.draw(values)
+    lines = write(value).splitlines()
+    for _ in range(data.draw(st.integers(1, 5))):
+        blank = data.draw(st.sampled_from(["", " ", "\t"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    assert parse("\n".join(lines) + "\n") == value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gencaching import (
@@ -58,6 +60,12 @@ def test_each_mutation_trips_exactly_its_property(key):
     failed = sorted(k for k, chk in report.checks.items() if not chk.ok)
     assert failed == [key]
     assert report.checks[key].witness  # says what went wrong, not just that
+
+
+def test_sidecar_H_must_match_the_lead_pages():
+    out = reduce_fault_optional(K2, H=1)
+    report = check_properties(dataclasses.replace(out, H=out.H + 1))
+    assert sorted(k for k, chk in report.checks.items() if not chk.ok) == ["c"]
 
 
 def test_missing_roles_detected():

@@ -65,8 +65,9 @@ def test_graph_text_round_trip():
     text = graph_to_text(WEDGE)
     assert graph_from_text(text) == WEDGE
     assert graph_to_text(graph_from_text(text)) == text
-    with pytest.raises(FormatError):
-        graph_from_text("3\n0 2\n")
+    for bad in ["3\n0 2\n", "2 1\n0 +1\n"]:
+        with pytest.raises(FormatError):
+            graph_from_text(bad)
 
 
 # --- group count heuristic ----------------------------------------------------
@@ -393,3 +394,9 @@ def test_reduction_text_rejects_apocrypha():
         reduction_from_text(text.replace("e0.1.lead_in lead_in", "e0.1.lead_in lead_up"))
     with pytest.raises(FormatError):
         reduction_from_text(text.replace("phases 0 1", "phases 0 0 7"))
+    for h in ["0", "-3"]:
+        with pytest.raises(FormatError):
+            reduction_from_text(text.replace("\nH 1\n", f"\nH {h}\n"))
+    simple = reduction_to_text(reduce_simple(K2))
+    with pytest.raises(FormatError):
+        reduction_from_text(simple.replace("\nH 1\n", "\nH 2\n"))
