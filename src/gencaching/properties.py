@@ -291,10 +291,16 @@ def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) 
         family = FAMILY_WIDE_BACK if u in w else FAMILY_WIDE_FRONT
         for i in range(1, output.H + 1):
             for role_name in family:
-                pid = by_edge_group[(j, i, role_name)]
+                pid = by_edge_group.get((j, i, role_name))
+                if pid is None:
+                    raise MissingRolesError(
+                        f"no page has (edge, group, role) ({j}, {i}, {role_name})"
+                    )
                 for k in range(len(positions[pid]) - 1):
                     chosen.append((pid, k))
     for v in sorted(w):
+        if v not in vertex_pages:
+            raise MissingRolesError(f"no page has the role of vertex {v}")
         chosen.append((vertex_pages[v], 0))
     return Service.of(chosen)
 

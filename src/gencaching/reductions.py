@@ -17,16 +17,24 @@ six pages
     lead_out (size 2)   requested from the back phase into the final block
 
 and 2H dedicated *anchor* blocks in each endpoint's phase (quarters 1, 2 in
-the front phase and 3, 4 in the back phase).  Vertex pages (size 1) are
-requested once right before and once right after their phase, outside all
-blocks.  The cache is exactly large enough for one page per (edge, group)
-slot plus either one size-3 upgrade or one vertex page — which is what makes
-vertex selections compete.
+the front phase and 3, 4 in the back phase).  The cache is exactly large
+enough for one page per (edge, group) slot plus either one size-3 upgrade or
+one vertex page — which is what makes vertex selections compete.
 
-Models: `fault` charges every page cost 1; `bit` charges cost = size and
-weaves five extra blocks into every block boundary so that size-s crossings
-split into gaps worth 6 in total; `simple` is the H = 1 gadget with vertex
-pages at cost 1 and edge pages at cost n+1 (cost_scale n+1).
+Vertex pages (size 1) are requested twice, outside all blocks: right before
+the first block of their phase and right after its last.  A vertex with no
+phase blocks (an isolated vertex) has both requests right before the next
+block, so they are adjacent.
+
+Models: `fault` charges every page cost 1.  `bit` charges cost = size and
+weaves five inserted blocks into every boundary between original blocks B
+and B': empty, the size-2 pages requested in both B and B' (in B's order),
+the size-3 page requested in both (at most one exists), the size-2 ones
+again, and empty.  A size-2 page cached across the boundary then crosses
+three gaps worth 2 each, a size-3 page two gaps worth 3 each.  The weave
+goes between the vertex requests that follow B and those that precede B',
+so vertex requests still hug their phase.  `simple` is the H = 1 gadget with
+vertex pages at cost 1 and edge pages at cost n+1 (cost_scale n+1).
 """
 
 from __future__ import annotations
@@ -196,17 +204,24 @@ def edge_page_id(edge: int, group: int, role: str) -> str:
     return f"e{edge}.{group}.{role}"
 
 
-def _fault_skeleton(graph: Graph, H: int):
-    """Block metadata, anchor map, per-block requests, and the item stream.
+def _skeleton(graph: Graph, H: int):
+    """The original blocks, before the `bit` weave, and the vertex requests.
 
-    The stream is the request order: ("B", block_id) entries interleaved with
-    ("V", page_id, "open"|"close") vertex requests hugging their phase.
+    Returns (meta, block_pages, anchors, before, after): per block its
+    (kind, vertex, slot) triple and its page ids in request order; the anchor
+    map, block id -> (edge, group, quarter); and the vertex pages requested
+    outside all blocks right before (a list) and right after (one page) a
+    block, keyed by block id.
     """
-    n, m = graph.n, graph.m
-    blocks_meta: list[tuple[str, int | None, int | None]] = [(BLOCK_INITIAL, None, None)]
+    meta: list[tuple[str, int | None, int | None]] = [(BLOCK_INITIAL, None, None)]
     anchors: dict[int, tuple[int, int, int]] = {}
-    phase_blocks: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
+    before: dict[int, list[str]] = {}
+    after: dict[int, str] = {}
+    waiting: list[str] = []  # vertex requests that go right before the next block
+    for v in range(graph.n):
+        page = vertex_page_id(v)
+        waiting.append(page)
+        first = len(meta)
         for j, (a, b) in enumerate(graph.edges):
             if v == a:
                 quarters = (1, 2)
@@ -216,26 +231,18 @@ def _fault_skeleton(graph: Graph, H: int):
                 continue
             for i in range(1, H + 1):
                 for q in quarters:
-                    bid = len(blocks_meta)
-                    blocks_meta.append((BLOCK_PHASE, v, None))
-                    anchors[bid] = (j, i, q)
-                    phase_blocks[v].append(bid)
-    final_bid = len(blocks_meta)
-    blocks_meta.append((BLOCK_FINAL, None, None))
+                    anchors[len(meta)] = (j, i, q)
+                    meta.append((BLOCK_PHASE, v, None))
+        if len(meta) == first:
+            waiting.append(page)
+        else:
+            before[first] = waiting
+            waiting = []
+            after[len(meta) - 1] = page
+    before[len(meta)] = waiting
+    meta.append((BLOCK_FINAL, None, None))
 
-    first_front: dict[int, int] = {}
-    last_front: dict[int, int] = {}
-    first_back: dict[int, int] = {}
-    last_back: dict[int, int] = {}
-    for bid, (j, i, q) in anchors.items():
-        if q == 1 and i == 1:
-            first_front[j] = bid
-        elif q == 2 and i == H:
-            last_front[j] = bid
-        elif q == 3 and i == 1:
-            first_back[j] = bid
-        elif q == 4 and i == H:
-            last_back[j] = bid
+    at = {key: bid for bid, key in anchors.items()}
 
     def ids(j: int, role: str, lo: int, hi: int) -> list[str]:
         return [edge_page_id(j, i, role) for i in range(lo, hi + 1)]
@@ -243,208 +250,105 @@ def _fault_skeleton(graph: Graph, H: int):
     def edge_section(j: int, bid: int) -> list[str]:
         # The per-block request pattern for edge j, before/inside/between/
         # after its two anchor runs.
-        if bid < first_front[j]:
+        if bid < at[j, 1, 1]:
             return ids(j, ROLE_LEAD_IN, 1, H)
-        if bid <= last_front[j]:
+        if bid <= at[j, H, 2]:
             _, i, q = anchors[bid]
-            if q == 1:
-                row = ids(j, ROLE_CARRY_FRONT, 1, i - 1)
-                row += [edge_page_id(j, i, ROLE_LEAD_IN), edge_page_id(j, i, ROLE_WIDE_FRONT)]
-            else:
-                row = ids(j, ROLE_CARRY_FRONT, 1, i - 1)
-                row += [edge_page_id(j, i, ROLE_WIDE_FRONT), edge_page_id(j, i, ROLE_CARRY_FRONT)]
-            row += ids(j, ROLE_LEAD_IN, i + 1, H)
-            return row + ids(j, ROLE_CARRY_BACK, 1, i)
-        if bid < first_back[j]:
+            mid = (ROLE_LEAD_IN, ROLE_WIDE_FRONT) if q == 1 else (ROLE_WIDE_FRONT, ROLE_CARRY_FRONT)
+            return (
+                ids(j, ROLE_CARRY_FRONT, 1, i - 1)
+                + [edge_page_id(j, i, role) for role in mid]
+                + ids(j, ROLE_LEAD_IN, i + 1, H)
+                + ids(j, ROLE_CARRY_BACK, 1, i)
+            )
+        if bid < at[j, 1, 3]:
             return ids(j, ROLE_CARRY_FRONT, 1, H) + ids(j, ROLE_CARRY_BACK, 1, H)
-        if bid <= last_back[j]:
+        if bid <= at[j, H, 4]:
             _, i, q = anchors[bid]
-            row = ids(j, ROLE_CARRY_FRONT, i, H)
-            row += ids(j, ROLE_LEAD_OUT, 1, i - 1)
-            if q == 3:
-                row += [edge_page_id(j, i, ROLE_CARRY_BACK), edge_page_id(j, i, ROLE_WIDE_BACK)]
-            else:
-                row += [edge_page_id(j, i, ROLE_WIDE_BACK), edge_page_id(j, i, ROLE_LEAD_OUT)]
-            return row + ids(j, ROLE_CARRY_BACK, i + 1, H)
+            mid = (ROLE_CARRY_BACK, ROLE_WIDE_BACK) if q == 3 else (ROLE_WIDE_BACK, ROLE_LEAD_OUT)
+            return (
+                ids(j, ROLE_CARRY_FRONT, i, H)
+                + ids(j, ROLE_LEAD_OUT, 1, i - 1)
+                + [edge_page_id(j, i, role) for role in mid]
+                + ids(j, ROLE_CARRY_BACK, i + 1, H)
+            )
         return ids(j, ROLE_LEAD_OUT, 1, H)
 
-    block_requests: list[list[str]] = []
-    for bid in range(len(blocks_meta)):
-        reqs: list[str] = []
-        for j in range(m):
-            reqs.extend(edge_section(j, bid))
-        block_requests.append(reqs)
-
-    stream: list[tuple] = [("B", 0)]
-    for v in range(n):
-        stream.append(("V", vertex_page_id(v), "open"))
-        for bid in phase_blocks[v]:
-            stream.append(("B", bid))
-        stream.append(("V", vertex_page_id(v), "close"))
-    stream.append(("B", final_bid))
-    return blocks_meta, anchors, block_requests, stream
+    block_pages = [
+        [pid for j in range(graph.m) for pid in edge_section(j, bid)]
+        for bid in range(len(meta))
+    ]
+    return meta, block_pages, anchors, before, after
 
 
-def _page_table(graph: Graph, H: int, edge_cost, vertex_cost: int) -> list[Page]:
-    pages = [Page(vertex_page_id(v), 1, vertex_cost) for v in range(graph.n)]
-    for j in range(graph.m):
-        for i in range(1, H + 1):
-            for role in EDGE_ROLE_ORDER:
-                size = ROLE_SIZES[role]
-                pages.append(Page(edge_page_id(j, i, role), size, edge_cost(size)))
-    return pages
+def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
+    """The reduction of `graph` in `model` with H groups (default `default_H`).
 
-
-def _page_roles(graph: Graph, H: int) -> dict[str, PageRole]:
-    roles = {vertex_page_id(v): PageRole(ROLE_VERTEX, vertex=v) for v in range(graph.n)}
-    for j in range(graph.m):
-        for i in range(1, H + 1):
-            for role in EDGE_ROLE_ORDER:
-                roles[edge_page_id(j, i, role)] = PageRole(role, edge=j, group=i)
-    return roles
-
-
-def _materialize(
-    graph: Graph,
-    H: int,
-    model: str,
-    capacity: int,
-    pages: list[Page],
-    blocks_meta: list[tuple[str, int | None, int | None]],
-    block_requests: list[list[str]],
-    stream: list[tuple],
-    anchors: dict[int, tuple[int, int, int]],
-    cost_scale: int = 1,
-) -> ReductionOutput:
-    requests: list[tuple[str, int | None]] = []
-    for item in stream:
-        if item[0] == "B":
-            bid = item[1]
-            requests.extend((pid, bid) for pid in block_requests[bid])
-        else:
-            requests.append((item[1], None))
-    instance = make_instance(capacity, pages, requests, blocks_meta, OPTIONAL, cost_scale)
-    return ReductionOutput(
-        instance=instance,
-        model=model,
-        graph=graph,
-        H=H,
-        page_roles=_page_roles(graph, H),
-        phase_order=tuple(range(graph.n)),
-        anchors=anchors,
-    )
-
-
-def _check_H(H: int | None, graph: Graph) -> int:
-    if H is None:
-        return default_H(graph)
-    if not isinstance(H, int) or H < 1:
+    `simple` ignores `H` and uses 1.  The capacity is 2mH+1 in every model.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
+    if model == MODEL_SIMPLE:
+        H = 1
+    elif H is None:
+        H = default_H(graph)
+    elif not isinstance(H, int) or H < 1:
         raise InstanceError("H must be a positive int")
-    return H
+    scale = graph.n + 1 if model == MODEL_SIMPLE else 1
+    pages: list[Page] = []
+    roles: dict[str, PageRole] = {}
+    for v in range(graph.n):
+        pid = vertex_page_id(v)
+        pages.append(Page(pid, 1, 1))
+        roles[pid] = PageRole(ROLE_VERTEX, vertex=v)
+    for j in range(graph.m):
+        for i in range(1, H + 1):
+            for role in EDGE_ROLE_ORDER:
+                pid = edge_page_id(j, i, role)
+                size = ROLE_SIZES[role]
+                pages.append(Page(pid, size, size if model == MODEL_BIT else scale))
+                roles[pid] = PageRole(role, edge=j, group=i)
+
+    meta, block_pages, anchor_map, before, after = _skeleton(graph, H)
+    blocks: list[tuple[str, int | None, int | None]] = []
+    requests: list[tuple[str, int | None]] = []
+    anchors: dict[int, tuple[int, int, int]] = {}
+    for k, row in enumerate(block_pages):
+        if model == MODEL_BIT and k > 0:
+            prev = block_pages[k - 1]
+            shared = set(prev).intersection(row)
+            two = [p for p in prev if p in shared and roles[p].role not in WIDE_ROLES]
+            three = [p for p in prev if p in shared and roles[p].role in WIDE_ROLES]
+            assert len(three) <= 1, "two size-3 pages may never share a boundary"
+            for slot, content in ((1, ()), (2, two), (3, three), (4, two), (5, ())):
+                bid = len(blocks)  # one int object shared by the block's requests
+                requests.extend((p, bid) for p in content)
+                blocks.append((BLOCK_INSERTED, None, slot))
+        requests.extend((p, None) for p in before.get(k, ()))
+        bid = len(blocks)
+        if k in anchor_map:
+            anchors[bid] = anchor_map[k]
+        requests.extend((p, bid) for p in row)
+        blocks.append(meta[k])
+        if k in after:
+            requests.append((after[k], None))
+    instance = make_instance(2 * graph.m * H + 1, pages, requests, blocks, OPTIONAL, scale)
+    return ReductionOutput(instance, model, graph, H, roles, tuple(range(graph.n)), anchors)
 
 
 def reduce_fault_optional(graph: Graph, H: int | None = None) -> ReductionOutput:
     """Uniform-cost instance: capacity 2mH+1, 4mH+2 blocks, 6mH+n pages."""
-    H = _check_H(H, graph)
-    blocks_meta, anchors, block_requests, stream = _fault_skeleton(graph, H)
-    pages = _page_table(graph, H, edge_cost=lambda size: 1, vertex_cost=1)
-    return _materialize(
-        graph, H, MODEL_FAULT, 2 * graph.m * H + 1, pages, blocks_meta, block_requests, stream, anchors
-    )
+    return generate(graph, MODEL_FAULT, H)
 
 
 def reduce_bit_optional(graph: Graph, H: int | None = None) -> ReductionOutput:
-    """Cost-equals-size instance: five blocks woven into every block boundary.
-
-    Between consecutive original blocks B, B' the inserted blocks are: empty,
-    the size-2 pages requested in both B and B' (in B's order), the size-3
-    page requested in both (at most one exists), the size-2 ones again, and
-    empty.  A size-2 page cached across the original boundary then crosses
-    three gaps worth 2 each; a size-3 page two gaps worth 3 each.
-    """
-    H = _check_H(H, graph)
-    blocks_meta, anchors, block_requests, stream = _fault_skeleton(graph, H)
-    sizes = {
-        edge_page_id(j, i, role): ROLE_SIZES[role]
-        for j in range(graph.m)
-        for i in range(1, H + 1)
-        for role in EDGE_ROLE_ORDER
-    }
-
-    new_meta: list[tuple[str, int | None, int | None]] = []
-    new_requests: list[list[str]] = []
-    new_anchors: dict[int, tuple[int, int, int]] = {}
-    old_to_new: dict[int, int] = {}
-    for k in range(len(blocks_meta)):
-        if k > 0:
-            shared = set(block_requests[k - 1]) & set(block_requests[k])
-            two = [p for p in block_requests[k - 1] if p in shared and sizes[p] == 2]
-            three = [p for p in block_requests[k - 1] if p in shared and sizes[p] == 3]
-            assert len(three) <= 1, "two size-3 pages may never share a boundary"
-            for slot, content in ((1, []), (2, two), (3, three), (4, two), (5, [])):
-                new_meta.append((BLOCK_INSERTED, None, slot))
-                new_requests.append(list(content))
-        old_to_new[k] = len(new_meta)
-        new_meta.append(blocks_meta[k])
-        new_requests.append(block_requests[k])
-        if k in anchors:
-            new_anchors[old_to_new[k]] = anchors[k]
-
-    new_stream: list[tuple] = []
-    pending_open: list[tuple] = []
-    for item in stream:
-        if item[0] == "V":
-            if item[2] == "open":
-                pending_open.append(item)
-            else:
-                new_stream.append(item)
-        else:
-            k = item[1]
-            if k > 0:
-                new_stream.extend(("B", b) for b in range(old_to_new[k] - 5, old_to_new[k]))
-            new_stream.extend(pending_open)
-            pending_open = []
-            new_stream.append(("B", old_to_new[k]))
-
-    pages = _page_table(graph, H, edge_cost=lambda size: size, vertex_cost=1)
-    return _materialize(
-        graph, H, MODEL_BIT, 2 * graph.m * H + 1, pages, new_meta, new_requests, new_stream, new_anchors
-    )
+    """Cost-equals-size instance: the `fault` blocks with five woven in per boundary."""
+    return generate(graph, MODEL_BIT, H)
 
 
 def reduce_simple(graph: Graph) -> ReductionOutput:
-    """Two-cost instance: the H=1 gadget with edge pages at cost n+1.
-
-    Costs are integral at scale n+1 (a vertex page costs 1, i.e. 1/(n+1) in
-    natural units).  Capacity 2m+1, 4m+2 blocks, 6m+n pages.
-    """
-    blocks_meta, anchors, block_requests, stream = _fault_skeleton(graph, 1)
-    edge_cost = graph.n + 1
-    pages = _page_table(graph, 1, edge_cost=lambda size: edge_cost, vertex_cost=1)
-    out = _materialize(
-        graph,
-        1,
-        MODEL_SIMPLE,
-        2 * graph.m + 1,
-        pages,
-        blocks_meta,
-        block_requests,
-        stream,
-        anchors,
-        cost_scale=graph.n + 1,
-    )
-    return out
-
-
-def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
-    """The reduction of `graph` in `model`; `H` is ignored by `simple`."""
-    if model == MODEL_SIMPLE:
-        return reduce_simple(graph)
-    if model == MODEL_FAULT:
-        return reduce_fault_optional(graph, H)
-    if model == MODEL_BIT:
-        return reduce_bit_optional(graph, H)
-    raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
+    """Two-cost instance: the H=1 gadget with edge pages at cost n+1 (scale n+1)."""
+    return generate(graph, MODEL_SIMPLE)
 
 
 def optional_to_forced(

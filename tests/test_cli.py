@@ -91,6 +91,15 @@ def test_construct_rejects_dependent_set(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_reports_missing_roles(tmp_path, capsys):
+    red = tmp_path / "k2.reduction"
+    main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])
+    red.write_text(red.read_text().replace("\nH 1\n", "\nH 7\n"))
+    assert main(["construct", "--in", str(red), "--vertices", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(0, 2, lead_in)" in err
+
+
 def test_export_packing(tmp_path, capsys):
     red = tmp_path / "k2.reduction"
     main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])

@@ -19,10 +19,12 @@ from gencaching import (
     enumerate_gaps,
     diagnostics_to_csv,
     extract_is,
+    max_independent_set,
     reduce_bit_optional,
     reduce_fault_optional,
     reduce_simple,
     savings,
+    solve_exact,
     validate_service,
     vertex_page_id,
 )
@@ -31,6 +33,7 @@ from mutations import MUTATIONS, base_output
 WEDGE = Graph(3, ((0, 2), (1, 2)))
 K2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+ISOLATED = [Graph(3, ((0, 1),)), Graph(2, ())]  # vertex 2 / both vertices isolated
 
 
 # --- property checks -----------------------------------------------------------
@@ -42,7 +45,7 @@ def test_generated_fault_instances_satisfy_all_properties(graph, H):
     assert check_properties(reduce_fault_optional(graph, H)).all_ok
 
 
-@pytest.mark.parametrize("graph", [K2, WEDGE])
+@pytest.mark.parametrize("graph", [K2, WEDGE, *ISOLATED])
 def test_generated_bit_and_simple_instances_satisfy_all_properties(graph):
     assert check_properties(reduce_bit_optional(graph, H=2)).all_ok
     assert check_properties(reduce_simple(graph)).all_ok
@@ -86,6 +89,27 @@ def test_missing_roles_detected():
 
 
 # --- service construction from an independent set ---------------------------------
+
+
+def test_bit_encoding_holds_with_isolated_vertices():
+    # The cache of 1 holds each vertex page across its own phase: threshold(2) = 2.
+    assert solve_exact(reduce_bit_optional(Graph(2, ()), H=1).instance).optimal_savings == 2
+    for graph in ISOLATED:
+        k, mis = max_independent_set(graph)
+        for H in (1, 2):
+            out = reduce_bit_optional(graph, H)
+            svc = construct_service_from_is(out, mis)
+            assert validate_service(out.instance, svc).ok
+            assert savings(out.instance, svc) == out.threshold(k)
+
+
+def test_construct_names_a_missing_role():
+    out = reduce_fault_optional(K2, H=1)
+    with pytest.raises(MissingRolesError, match=r"\(0, 2, lead_in\)"):
+        construct_service_from_is(dataclasses.replace(out, H=7), {0})
+    roles = {pid: role for pid, role in out.page_roles.items() if pid != vertex_page_id(1)}
+    with pytest.raises(MissingRolesError, match="vertex 1"):
+        construct_service_from_is(dataclasses.replace(out, page_roles=roles), {1})
 
 
 def test_constructed_service_hits_threshold_fault():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gencaching import (
+    CORPUS,
     FORCED,
     FormatError,
     Graph,
@@ -197,6 +200,28 @@ def test_fault_trivial_graph():
     assert len(out.instance.pages) == 1
     assert out.threshold(1) == 1
     assert solve_exact(out.instance).optimal_savings == 1
+
+
+# Leading 16 hex digits of sha256(reduction_to_text) per corpus graph, in the
+# order fault H=1, fault H=2, bit H=1, bit H=2, simple.
+GENERATOR_DIGESTS = {
+    "K2": "e00a9e0ef9f46b7a 6e24f221ebf15050 dd3fe51018e8eb57 c64a5269cf67ba04 16c9de013a098ffa",
+    "P3": "4f2ed4b191273aa0 c22d0c878d293a31 8170b782794c39cc de56d3ff543877e8 305e46123ab042fd",
+    "K3": "7c228b2e393985d2 01ed5046400b4837 a9dc0e6a117bd1ea bce9dee45994e55b 2e700ae30fd99c21",
+    "P4": "69961e498dbfc95b 644cf5835f9a3d55 5081c7c5d0f7b7a9 dc82807199836688 fcd707fa6f8af7e0",
+    "K1_3": "61a187f719f800a8 9976f384d2a18aa1 cc44294f35cdb315 6adbdde54d358b70 803d54228ae604fc",
+    "C4": "a4481b9571268937 aeaa14519db7bbb3 472a3021bb3883ae d9c084cfeef6a099 33ca238da9f22a0b",
+    "C5": "e059d649719c7818 42fb7a9e8dcd3293 422179ec06c2e25d c75831f3f064edff 51f312cc3187cf57",
+    "K4": "bc4d24094d8d7758 4c90238f7728f92d 37a1c145dbd11a8b 27d01ad7bd2ab749 c755bc6c4287beb7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_pinned(name):
+    runs = [(MODEL_FAULT, 1), (MODEL_FAULT, 2), (MODEL_BIT, 1), (MODEL_BIT, 2), (MODEL_SIMPLE, 1)]
+    texts = [reduction_to_text(generate(CORPUS[name], model, H)) for model, H in runs]
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts)
+    assert got == tuple(GENERATOR_DIGESTS[name].split())
 
 
 # --- bit reduction ------------------------------------------------------------
