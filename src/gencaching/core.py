@@ -17,8 +17,12 @@ moment it is served.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import gc
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, repeat
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -48,6 +52,23 @@ class InvalidServiceError(ValueError):
     """An operation that needs a valid service was given an invalid one."""
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore the caller's setting on exit.
+
+    For builders of acyclic bulk data: a full collection while hundreds of
+    thousands of tuples and dataclasses are alive rescans them all and frees
+    nothing, and the allocations trigger one again and again.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class Page:
     """A page with a positive integer size and fault cost."""
@@ -57,7 +78,7 @@ class Page:
     cost: int
 
     def __post_init__(self) -> None:
-        if not self.id or any(ch.isspace() for ch in self.id):
+        if self.id.split() != [self.id]:  # empty, or holds whitespace
             raise InstanceError(f"bad page id {self.id!r}")
         if not isinstance(self.size, int) or self.size < 1:
             raise InstanceError(f"page {self.id}: size must be a positive int")
@@ -196,6 +217,21 @@ class Instance:
     def num_requests(self) -> int:
         return len(self.requests)
 
+    @cached_property
+    def _positions(self) -> Mapping[str, tuple[int, ...]]:
+        """Read-only page -> positions index, built on first use (see `request_positions`)."""
+        by_page: dict[str, list[int]] = {}
+        with _gc_paused():
+            for r in self.requests:
+                by_page.setdefault(r.page, []).append(r.position)
+            return MappingProxyType({pid: tuple(pos) for pid, pos in by_page.items()})
+
+    def __getstate__(self) -> dict:
+        # A mappingproxy cannot be pickled or deep-copied; a copy rebuilds the index on first use.
+        state = self.__dict__.copy()
+        state.pop("_positions", None)
+        return state
+
     def __repr__(self) -> str:  # the default would dump every request
         return (
             f"Instance(C={self.capacity}, pages={len(self.pages)}, requests={len(self.requests)}, "
@@ -203,6 +239,7 @@ class Instance:
         )
 
 
+@_gc_paused()
 def make_instance(
     capacity: int,
     pages: Iterable[Page | tuple[str, int, int]],
@@ -264,14 +301,16 @@ class Service:
         return f"Service({len(self.chosen)} gaps)"
 
 
-def request_positions(instance: Instance) -> dict[str, list[int]]:
-    """Positions of each requested page, in request order."""
-    by_page: dict[str, list[int]] = {}
-    for r in instance.requests:
-        by_page.setdefault(r.page, []).append(r.position)
-    return by_page
+def request_positions(instance: Instance) -> Mapping[str, tuple[int, ...]]:
+    """Positions of each requested page, in request order; pages in first-request order.
+
+    The index is built once per instance and shared by every caller, so it is
+    read-only.
+    """
+    return instance._positions
 
 
+@_gc_paused()
 def enumerate_gaps(instance: Instance) -> list[Gap]:
     """Every gap of every page, ordered by (page id, ordinal)."""
     by_page = request_positions(instance)
@@ -351,7 +390,13 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     A request to page p at position t where p's chosen gaps do not cover t
     must satisfy size(p) + occupancy(t) <= capacity under `forced`.
     """
-    runs = merged_occupancy_runs(instance, service)
+    return _validate_runs(instance, merged_occupancy_runs(instance, service))
+
+
+def _validate_runs(
+    instance: Instance, runs: Mapping[str, list[tuple[int, int]]]
+) -> ValidationReport:
+    """`validate_service` on a service's merged occupancy runs."""
     profile = _occupancy(instance, runs)
     cap = instance.capacity
     capacity_violations = [t for t, load in enumerate(profile) if load > cap]
@@ -531,6 +576,7 @@ def _read_instance(r: _LineReader) -> Instance:
         raise FormatError(f"inconsistent instance: {exc}") from exc
 
 
+@_gc_paused()
 def instance_from_text(text: str) -> Instance:
     r = _LineReader(text)
     instance = _read_instance(r)

@@ -32,11 +32,11 @@ from typing import Iterable, Mapping
 from .core import (
     BLOCK_PHASE,
     InvalidServiceError,
-    Request,
     Service,
+    _gc_paused,
+    _validate_runs,
     merged_occupancy_runs,
     request_positions,
-    validate_service,
 )
 from .reductions import (
     MODEL_BIT,
@@ -95,9 +95,8 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     inst = output.instance
     roles = output.page_roles
     blocks = inst.blocks
-    by_page: dict[str, list[Request]] = {}
-    for r in inst.requests:
-        by_page.setdefault(r.page, []).append(r)
+    requests = inst.requests
+    positions = request_positions(inst)
 
     checks: dict[str, PropertyCheck] = {}
 
@@ -116,20 +115,17 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
         if pid is None:
             witness = f"vertex {v} has no vertex page"
             break
-        reqs = by_page.get(pid, [])
-        if len(reqs) != 2 or any(r.block is not None for r in reqs):
+        p = positions.get(pid, ())
+        if len(p) != 2 or any(requests[t].block is not None for t in p):
             witness = f"page {pid}: expected exactly two out-of-block requests"
             break
         span = phase_spans.get(v)
         if span is None:
-            if reqs[1].position != reqs[0].position + 1:
+            if p[1] != p[0] + 1:
                 witness = f"page {pid}: requests must be adjacent when vertex {v} has no phase blocks"
                 break
-        elif reqs[0].position != span[0] - 1 or reqs[1].position != span[1]:
-            witness = (
-                f"page {pid}: requests at {reqs[0].position},{reqs[1].position} "
-                f"do not hug phase span {span}"
-            )
+        elif p[0] != span[0] - 1 or p[1] != span[1]:
+            witness = f"page {pid}: requests at {p[0]},{p[1]} do not hug phase span {span}"
             break
     checks["a"] = PropertyCheck(not witness, witness)
 
@@ -138,14 +134,14 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     for pid, role in roles.items():
         if role.edge is None:
             continue
-        reqs = by_page.get(pid)
-        if not reqs:
+        p = positions.get(pid)
+        if not p:
             witness = f"page {pid}: never requested"
             break
-        if any(r.block is None for r in reqs):
+        bs = [requests[t].block for t in p]
+        if None in bs:
             witness = f"page {pid}: requested outside a block"
             break
-        bs = [r.block for r in reqs]
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
             witness = f"page {pid}: requested twice in block {bs[0]}" if len(set(bs)) < len(bs) else (
                 f"page {pid}: block order regresses"
@@ -232,7 +228,8 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     wide_blocks: dict[int, list[tuple[str, list[int]]]] = {}
     for pid, role in roles.items():
         if role.role in WIDE_ROLES:
-            bs = [r.block for r in by_page.get(pid, []) if r.block is not None]
+            bs = [requests[t].block for t in positions.get(pid, ())]
+            bs = [b for b in bs if b is not None]
             wide_blocks.setdefault(role.edge, []).append((pid, bs))
     block_by_id = {b.id: b for b in blocks}
     for j, entries in sorted(wide_blocks.items()):
@@ -263,6 +260,7 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     return PropertyReport(checks)
 
 
+@_gc_paused()
 def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) -> Service:
     """The easy-direction service for an independent set: savings threshold(|W|).
 
@@ -354,29 +352,40 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
 
     A page counts for block B when a chosen run covers B's start position but
     opened strictly earlier (the cache state entering the block); an empty
-    block's start is where it would begin.
+    block's start is where it would begin.  `slots` = m*H is read from the
+    sidecar `H`, so a role table without exactly groups 1..H for every edge
+    raises MissingRolesError.
     """
     _roles_of_requested(output)
     inst = output.instance
-    report = validate_service(inst, service)
-    if not report.ok:
+    roles = output.page_roles
+    m = output.graph.m
+    groups: dict[int, set[int | None]] = {j: set() for j in range(m)}
+    for role in roles.values():
+        if role.edge in groups:
+            groups[role.edge].add(role.group)
+    for j, got in groups.items():
+        if got != set(range(1, output.H + 1)):
+            raise MissingRolesError(
+                f"the role table does not hold groups 1..{output.H} of edge {j}"
+            )
+    runs = merged_occupancy_runs(inst, service)
+    if not _validate_runs(inst, runs).ok:
         raise InvalidServiceError("diagnostics requires a valid service")
     blocks = inst.blocks
     d = len(blocks)
-    m = output.graph.m
     starts = [b.span[0] for b in blocks]
     diff_s = [[0] * (d + 1) for _ in range(m)]
     diff_eps = [[0] * (d + 1) for _ in range(m)]
     diff_phi = [[0] * (d + 1) for _ in range(m)]
-    roles = output.page_roles
-    for pid, runs in merged_occupancy_runs(inst, service).items():
+    for pid, page_runs in runs.items():
         role = roles[pid]
         if role.edge is None:
             continue
         j = role.edge
         wide = role.role in WIDE_ROLES
         crossing = role.role in (ROLE_CARRY_FRONT, ROLE_LEAD_OUT)
-        for s0, e0 in runs:
+        for s0, e0 in page_runs:
             lo = bisect_right(starts, s0)
             hi = bisect_right(starts, e0)
             if lo < hi:

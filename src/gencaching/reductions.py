@@ -53,6 +53,7 @@ from .core import (
     Instance,
     InstanceError,
     Page,
+    _gc_paused,
     _LineReader,
     _read_instance,
     instance_to_text,
@@ -281,6 +282,7 @@ def _skeleton(graph: Graph, H: int):
     return meta, block_pages, anchors, before, after
 
 
+@_gc_paused()
 def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     """The reduction of `graph` in `model` with H groups (default `default_H`).
 
@@ -351,6 +353,7 @@ def reduce_simple(graph: Graph) -> ReductionOutput:
     return generate(graph, MODEL_SIMPLE)
 
 
+@_gc_paused()
 def optional_to_forced(
     source: ReductionOutput | Instance, *, new_page_cost: int | None = None
 ) -> Instance:
@@ -440,6 +443,7 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
     return ReductionOutput(instance, model, _graph(n, edges), H, roles, phase_order)
 
 
+@_gc_paused()
 def reduction_from_text(text: str) -> ReductionOutput:
     r = _LineReader(text)
     return _read_sidecar(r, _read_instance(r))

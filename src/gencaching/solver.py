@@ -18,7 +18,6 @@ guarded to small gap counts.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     OPTIONAL,
     Instance,
     Service,
+    _gc_paused,
     enumerate_gaps,
     request_positions,
     validate_service,
@@ -107,9 +107,7 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     cur: dict[int, tuple] = {0: (0, 0, None)}
     states = 0
     transitions = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for t in range(n):
             bit = req_bit[t]
             sizep = req_size[t]
@@ -156,9 +154,6 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
                 )
             states += len(nxt)
             cur = nxt
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     # No page is requested after the last position, so every gap has closed
     # and the final layer holds the empty mask alone.
@@ -221,11 +216,14 @@ def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
     if instance.policy != OPTIONAL:
         raise UnsupportedPolicyError("interval packing export requires the optional policy")
     pages = instance.pages
-    intervals = tuple(
-        (gap.start, gap.end, pages[gap.page].size, pages[gap.page].cost)
-        for gap in enumerate_gaps(instance)
-    )
-    return IntervalPackingInstance(instance.capacity, intervals)
+    pos = request_positions(instance)
+    intervals: list[tuple[int, int, int, int]] = []
+    with _gc_paused():
+        for pid in sorted(pos):
+            p = pos[pid]
+            size, cost = pages[pid].size, pages[pid].cost
+            intervals.extend((s, e, size, cost) for s, e in zip(p, p[1:]))
+        return IntervalPackingInstance(instance.capacity, tuple(intervals))
 
 
 def packing_to_text(packing: IntervalPackingInstance) -> str:

@@ -100,6 +100,18 @@ def test_construct_reports_missing_roles(tmp_path, capsys):
     assert err.startswith("error:") and "(0, 2, lead_in)" in err
 
 
+def test_diagnose_rejects_a_sidecar_H_the_roles_lack(tmp_path, capsys):
+    red = tmp_path / "k2.reduction"
+    svc = tmp_path / "k2.service"
+    main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])
+    assert main(["construct", "--in", str(red), "--vertices", "0", "--out", str(svc)]) == 0
+    red.write_text(red.read_text().replace("\nH 1\n", "\nH 7\n"))
+    capsys.readouterr()
+    assert main(["diagnose", "--in", str(red), "--service", str(svc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_export_packing(tmp_path, capsys):
     red = tmp_path / "k2.reduction"
     main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
 from itertools import combinations
 
@@ -16,9 +19,13 @@ from gencaching import (
     FormatError,
     Gap,
     Graph,
+    BudgetExceeded,
+    Instance,
     InstanceError,
     InvalidServiceError,
     OPTIONAL,
+    Page,
+    Request,
     Service,
     UnknownGapError,
     enumerate_gaps,
@@ -29,11 +36,14 @@ from gencaching import (
     instance_to_text,
     make_instance,
     occupancy_profile,
+    optional_to_forced,
     reduction_from_text,
     reduction_to_text,
+    request_positions,
     savings,
     service_from_text,
     service_to_text,
+    solve_exact,
     validate_service,
 )
 
@@ -62,6 +72,70 @@ def test_single_request_yields_no_gap():
 def test_adjacent_requests_form_unit_gap():
     inst = bare(4, [("a", 1, 1)], ["a", "a"])
     assert enumerate_gaps(inst) == [Gap("a", 0, 0, 1)]
+
+
+# --- request index --------------------------------------------------------
+
+
+def test_request_index_is_shared_and_read_only():
+    inst = bare(4, [("a", 1, 1), ("b", 1, 1)], ["b", "a", "b"])
+    index = request_positions(inst)
+    assert request_positions(inst) is index
+    with pytest.raises(TypeError):
+        index["a"] = (0,)
+    with pytest.raises(TypeError):
+        index["c"] = (0,)
+    assert dict(index) == {"b": (0, 2), "a": (1,)}
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert copied == inst and request_positions(copied) == index
+
+
+def _fresh_index(inst):
+    by_page = {}
+    for r in inst.requests:
+        by_page.setdefault(r.page, []).append(r.position)
+    return [(pid, tuple(pos)) for pid, pos in by_page.items()]
+
+
+_PAGES = {"a": Page("a", 1, 1), "b": Page("b", 2, 1)}
+_BUILT = {
+    "Instance": lambda: Instance(3, _PAGES, tuple(Request(i, p, None) for i, p in enumerate("abaab"))),
+    "make_instance": lambda: bare(3, [("a", 1, 1), ("b", 2, 1)], list("abaab")),
+    "instance_from_text": lambda: instance_from_text(
+        instance_to_text(generate(CORPUS["P3"], "fault", 1).instance)
+    ),
+    "optional_to_forced": lambda: optional_to_forced(generate(CORPUS["P3"], "bit", 1)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_BUILT))
+def test_request_index_matches_the_requests(route):
+    inst = _BUILT[route]()
+    assert list(request_positions(inst).items()) == _fresh_index(inst)
+
+
+# --- garbage collector ----------------------------------------------------
+
+_FAILING_BUILDS = {
+    "make_instance": (lambda: bare(1, [("a", 1, 1), ("a", 1, 1)], []), InstanceError),
+    "reduction_from_text": (lambda: reduction_from_text("caching-instance 1\ncache x\n"), FormatError),
+    "solve_exact": (lambda: solve_exact(bare(2, [("a", 1, 1), ("b", 1, 1)], list("abab")), budget=1),
+                    BudgetExceeded),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call", sorted(_FAILING_BUILDS))
+def test_failing_bulk_build_restores_the_gc_setting(call, enabled):
+    build, error = _FAILING_BUILDS[call]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(error):
+            build()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- occupancy ----------------------------------------------------------
@@ -185,6 +259,12 @@ def test_out_of_order_blocks_rejected():
             [("a", 1), ("b", 0)],
             [("initial", None, None), ("final", None, None)],
         )
+
+
+@pytest.mark.parametrize("pid", ["", "a b", "a\tb", "a\nb", "a\u00a0b", "\u2003"])
+def test_page_id_with_whitespace_rejected(pid):
+    with pytest.raises(InstanceError, match="bad page id"):
+        Page(pid, 1, 1)
 
 
 def test_unknown_page_rejected():

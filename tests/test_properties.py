@@ -192,6 +192,14 @@ def test_diagnostics_requires_valid_service():
         diagnostics(out, everything)
 
 
+def test_diagnostics_needs_groups_1_to_H_for_every_edge():
+    out = reduce_fault_optional(K2, H=1)
+    svc = construct_service_from_is(out, frozenset({0}))
+    assert diagnostics(out, svc).delta[:3] == (1, 0, 0)
+    with pytest.raises(MissingRolesError, match=r"groups 1\.\.7 of edge 0"):
+        diagnostics(dataclasses.replace(out, H=7), svc)
+
+
 def test_diagnostics_csv_shape():
     out = reduce_fault_optional(K2, H=1)
     svc = construct_service_from_is(out, frozenset({0}))

@@ -20,6 +20,7 @@ from gencaching import (
     UnsupportedPolicyError,
     enumerate_gaps,
     export_interval_packing,
+    generate,
     make_instance,
     optional_to_forced,
     packing_to_text,
@@ -193,6 +194,17 @@ def test_packing_mirrors_gaps_verbatim():
     packing = export_interval_packing(inst)
     assert packing.limit == 2
     assert packing.intervals == ((0, 2, 2, 1), (1, 3, 2, 3))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_packing_lists_the_gaps_in_order(name):
+    for model, H in [("fault", 1), ("fault", 2), ("bit", 1), ("bit", 2), ("simple", None)]:
+        inst = generate(CORPUS[name], model, H).instance
+        pages = inst.pages
+        want = tuple(
+            (g.start, g.end, pages[g.page].size, pages[g.page].cost) for g in enumerate_gaps(inst)
+        )
+        assert export_interval_packing(inst).intervals == want
 
 
 def test_packing_optimum_equals_caching_optimum():
