@@ -97,6 +97,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"optimal_savings {result.optimal_savings}")
     print(f"states {result.explored.states}")
     print(f"transitions {result.explored.transitions}")
+    print(f"peak_states {result.explored.peak_states}")
+    print(f"peak_position {result.explored.peak_position}")
     if args.out:
         Path(args.out).write_text(service_to_text(result.witness))
     return 0

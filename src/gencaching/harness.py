@@ -5,7 +5,9 @@ properties, solves exactly, and inverts the threshold to recover an
 independent-set size which is compared against a brute-force maximum
 independent set.  K_caching = K_oracle is asserted for the simple model
 (where the inversion is exact for every H >= 1); fault/bit runs assert the
-sandwich threshold(K_oracle) <= optimal <= threshold(0) + n instead.  When
+sandwich threshold(K_oracle) <= optimal <= threshold(0) + n instead.  Every
+solved row reports its excess, optimal - threshold(K_oracle): the saving an
+optimum finds beyond the one the independent set encodes.  When
 the exact solve exceeds its state budget the run downgrades to constructing
 and validating the easy-direction service (verdict suffix `-easy-only`).
 """
@@ -85,6 +87,7 @@ class RoundTripReport:
     optimal: int
     k_caching: int | None
     k_oracle: int
+    excess: int | None
     verdict: str
     seconds: float
 
@@ -107,7 +110,7 @@ def round_trip(
     except BudgetExceeded:
         service = construct_service_from_is(output, max_set)
         optimal = savings(output.instance, service)
-        k_caching = None
+        k_caching = excess = None
         ok = (
             properties_ok
             and validate_service(output.instance, service).ok
@@ -117,6 +120,7 @@ def round_trip(
     else:
         optimal = result.optimal_savings
         k_caching = optimal - base
+        excess = optimal - output.threshold(k_oracle)
         ok = properties_ok and validate_service(output.instance, result.witness).ok
         if model == MODEL_SIMPLE:
             extracted = extract_is(output, result.witness)
@@ -136,6 +140,7 @@ def round_trip(
         optimal=optimal,
         k_caching=k_caching,
         k_oracle=k_oracle,
+        excess=excess,
         verdict=verdict,
         seconds=time.perf_counter() - started,
     )
@@ -169,6 +174,7 @@ REPORT_COLUMNS = (
     "K_oracle",
     "verdict",
     "seconds",
+    "excess",
 )
 
 
@@ -184,6 +190,7 @@ def _report_row(report: RoundTripReport) -> list[str]:
         str(report.k_oracle),
         report.verdict,
         f"{report.seconds:.3f}",
+        "-" if report.excess is None else str(report.excess),
     ]
 
 

@@ -1,15 +1,25 @@
 """Exact offline solvers for the savings-maximization view of general caching.
 
 `solve_exact` sweeps the request sequence once, keeping one DP state per set
-of pages whose chosen gap crosses the current boundary between positions.  At
-a request to page p exactly two decisions exist in a normalized service: close
-p's coverage (evict after serving) or keep p until its next request (open the
-gap).  States are bitmasks over pages; each layer keeps the best savings per
-mask, so the sweep is exponential only in the number of simultaneously "live"
-pages, not in the request count.  Each state carries its chosen gaps forward
-as a chain of the positions where they open, shared with the states it came
-from, so no earlier layer is kept and no backward walk is needed.  Per mask,
-the first state reached with the best savings is kept.
+of gaps that cross the current boundary between positions.  At a request to
+page p exactly two decisions exist in a normalized service: close p's
+coverage (evict after serving) or keep p until its next request (open the
+gap).  Each gap gets a *slot* in one pass over the requests (`_slot_plan`):
+a page keeps its slot from its first request to its last, so the gaps open
+at one boundary hold distinct slots and a state is a bitmask over slots.  The
+slot count k is the largest number of gaps open at one boundary, far below
+the page count, and the sweep is exponential only in k, not in the request
+count.
+
+Two backends run the same sweep.  `_solve_dict` keeps a dict of reachable
+masks; each state carries its chosen gaps forward as a chain of the positions
+where they open, shared with the states it came from, and per mask the first
+state reached with the best savings is kept.  `_solve_dense` keeps every
+layer as numpy arrays of 2^k entries and one decision bit per mask, and walks
+back from the empty mask for the witness.  `solve_exact` picks the dense
+backend where the layers are large and numpy is installed (see
+`DENSE_MIN_CELLS`); both explore the same reachable masks, so the optimum and
+the counters do not depend on the choice.
 
 `solve_brute_force` enumerates every subset of gaps and validates each one
 against the core validator; it is the independent oracle for the DP and is
@@ -18,6 +28,7 @@ guarded to small gap counts.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import (
@@ -33,6 +44,9 @@ from .core import (
 
 DEFAULT_STATE_BUDGET = 5_000_000
 BRUTE_FORCE_GAP_GUARD = 24
+# The dense backend runs when n * 2^k reaches this many cells: below it the
+# dict DP is as fast, and the numpy import (about 0.15 s) would dominate.
+DENSE_MIN_CELLS = 1 << 21
 
 
 class BudgetExceeded(RuntimeError):
@@ -45,10 +59,17 @@ class UnsupportedPolicyError(ValueError):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Exploration counters (diagnostic only)."""
+    """Exploration counters (diagnostic only).
+
+    `peak_states` is the widest layer and `peak_position` the first position
+    after which it occurs; the brute-force oracle has no layers and leaves
+    both 0.
+    """
 
     states: int
     transitions: int
+    peak_states: int = 0
+    peak_position: int = 0
 
 
 @dataclass(frozen=True)
@@ -58,44 +79,83 @@ class SolveResult:
     explored: SolveStats
 
 
+@dataclass(frozen=True)
+class _SlotPlan:
+    """Per position t: (slot, had an earlier request, has a later request,
+    ordinal of the request among its page's).  The slot is -1 for a page
+    requested once, which has no gap; `width` is the slot count k."""
+
+    rows: tuple[tuple[int, bool, bool, int], ...]
+    width: int
+
+
+def _slot_plan(instance: Instance) -> _SlotPlan:
+    """Give every gap a slot in one sweep over the requests.
+
+    A page's first request takes the smallest free slot, its later requests
+    keep it, and its last request frees it, so each request touches at most
+    one slot bit and the slot count is the most gaps open at one boundary.
+    """
+    pos = request_positions(instance)
+    seen: dict[str, int] = {}
+    slot_of: dict[str, int] = {}
+    free: list[int] = []
+    width = 0
+    rows = []
+    for r in instance.requests:
+        page = r.page
+        i = seen.get(page, 0)
+        seen[page] = i + 1
+        more = i + 1 < len(pos[page])
+        if i:
+            slot = slot_of[page]
+            if not more:
+                heapq.heappush(free, slot)
+        elif more:
+            if free:
+                slot = heapq.heappop(free)
+            else:
+                slot = width
+                width += 1
+            slot_of[page] = slot
+        else:
+            slot = -1
+        rows.append((slot, i > 0, more, i))
+    return _SlotPlan(tuple(rows), width)
+
+
 def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Optimal savings plus a witness service, by the boundary-state sweep.
 
     `budget` caps the number of states in any single layer; exceeding it
-    raises BudgetExceeded (never a wrong answer).  Each state carries the
-    positions where its chosen gaps open as a cons list shared with the
-    states it came from, and the witness is read off the final state.  Only
-    the current and the next layer are alive, so the budget bounds memory
-    too: two layers of states plus their shared chains.  The witness is
-    deterministic: per mask, the first state reached with the best savings
-    is kept.
+    raises BudgetExceeded (never a wrong answer).  With k slots the dense
+    backend runs iff 2^k <= budget, n * 2^k >= DENSE_MIN_CELLS and numpy can
+    be imported; otherwise the dict DP runs.  A layer never holds more than
+    2^k masks, so the dense backend runs only where the dict DP could not
+    have hit the budget, and the optimum, the counters and the refusals are
+    the same either way.  The witness is deterministic for a given backend.
+    """
+    plan = _slot_plan(instance)
+    cells = 1 << plan.width
+    if cells <= budget and len(plan.rows) * cells >= DENSE_MIN_CELLS:
+        try:
+            import numpy  # noqa: F401  (optional; never imported with the package)
+        except ImportError:
+            pass
+        else:
+            return _solve_dense(instance, plan)
+    return _solve_dict(instance, plan, budget)
+
+
+def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult:
+    """The sweep over a dict of reachable masks, with shared witness chains.
+
+    Only the current and the next layer are alive, so the budget bounds
+    memory too: two layers of states plus their shared chains.  Per mask,
+    the first state reached with the best savings is kept.
     """
     reqs = instance.requests
-    n = len(reqs)
-    if n == 0:
-        return SolveResult(0, Service.of(()), SolveStats(0, 0))
-
-    pos = request_positions(instance)
-    bit_of: dict[str, int] = {}
-    for pid in pos:
-        bit_of[pid] = 1 << len(bit_of)
     pages = instance.pages
-    # Per position: page bit, size, cost, whether a later request exists, occurrence index.
-    seen: dict[str, int] = {}
-    req_bit = [0] * n
-    req_size = [0] * n
-    req_cost = [0] * n
-    req_open = [False] * n
-    req_ord = [0] * n
-    for t, r in enumerate(reqs):
-        k = seen.get(r.page, 0)
-        seen[r.page] = k + 1
-        req_bit[t] = bit_of[r.page]
-        req_size[t] = pages[r.page].size
-        req_cost[t] = pages[r.page].cost
-        req_open[t] = k + 1 < len(pos[r.page])
-        req_ord[t] = k
-
     cap = instance.capacity
     forced = instance.policy == FORCED
     # A layer maps mask -> (best savings, cached size, chain) after deciding
@@ -105,14 +165,13 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     # is paused during the sweep, since the long-lived cells would otherwise
     # trigger many full collections.
     cur: dict[int, tuple] = {0: (0, 0, None)}
-    states = 0
-    transitions = 0
+    states = transitions = peak = peak_at = 0
     with _gc_paused():
-        for t in range(n):
-            bit = req_bit[t]
-            sizep = req_size[t]
-            costp = req_cost[t]
-            can_open = req_open[t]
+        for t, (slot, _, can_open, _) in enumerate(plan.rows):
+            page = pages[reqs[t].page]
+            sizep = page.size
+            costp = page.cost
+            bit = 1 << slot if slot >= 0 else 0
             nxt: dict[int, tuple] = {}
             for mask, state in cur.items():
                 sav, size, chain = state
@@ -146,13 +205,16 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
                         old = nxt.get(m3)
                         if old is None or sav > old[0]:
                             nxt[m3] = (sav, size + sizep, (t, chain))
-            if not nxt:
+            reach = len(nxt)
+            if not reach:
                 raise BudgetExceeded(f"no feasible state at position {t}")
-            if len(nxt) > budget:
+            if reach > budget:
                 raise BudgetExceeded(
-                    f"layer {t} holds {len(nxt)} states, over the budget of {budget}"
+                    f"layer {t} holds {reach} states, over the budget of {budget}"
                 )
-            states += len(nxt)
+            states += reach
+            if reach > peak:
+                peak, peak_at = reach, t
             cur = nxt
 
     # No page is requested after the last position, so every gap has closed
@@ -161,8 +223,117 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     chosen: list[tuple[str, int]] = []
     while chain is not None:
         t, chain = chain
-        chosen.append((reqs[t].page, req_ord[t]))
-    return SolveResult(best, Service.of(chosen), SolveStats(states, transitions))
+        chosen.append((reqs[t].page, plan.rows[t][3]))
+    return SolveResult(best, Service.of(chosen), SolveStats(states, transitions, peak, peak_at))
+
+
+def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
+    """The sweep over dense layers: numpy arrays indexed by the slot mask.
+
+    A layer is the best savings per mask (-1 where unreachable) plus the
+    cached size per mask.  A request to slot s splits a layer through a
+    `reshape(-1, 2, 1 << s)` view into the masks without and with bit s, so
+    each request is a few whole-array operations.  Where the page was
+    requested before, the new mask's predecessor holds bit s or not; that
+    one decision bit per mask is kept packed, and the witness is read by
+    walking back from the empty mask.  Memory: two savings layers and one
+    size array of 2^k ints (int32 when the totals fit) plus 2^k / 8 bytes per
+    such position.  Ties go to the predecessor that held p.
+    """
+    import numpy as np
+
+    reqs = instance.requests
+    pages = instance.pages
+    cap = instance.capacity
+    forced = instance.policy == FORCED
+    cells = 1 << plan.width
+    # Savings never exceed the total cost, and a mask's size is at most one
+    # page size per slot; p's size is added before comparing with cap.
+    largest = max(
+        sum(pages[r.page].cost for r in reqs),
+        (plan.width + 1) * max((p.size for p in pages.values()), default=0),
+        cap,
+    )
+    dtype = np.int32 if largest < 2**31 - 1 else np.int64
+    sav = np.full(cells, -1, dtype)
+    sav[0] = 0
+    nxt = np.empty_like(sav)
+    size = np.zeros(cells, dtype)
+    choice = np.zeros(cells, bool)
+    decisions: dict[int, bytes] = {}
+
+    def reached(layer) -> int:
+        return int(np.count_nonzero(layer >= 0))
+
+    reach = 1
+    states = transitions = peak = peak_at = 0
+    for t, (slot, prev, more, _) in enumerate(plan.rows):
+        page = pages[reqs[t].page]
+        room = cap - page.size
+        if slot < 0:
+            # A page requested once: close is the only move, and under forced
+            # the page must fit next to the current occupancy.
+            if forced:
+                sav[size > room] = -1
+                reach = reached(sav)
+            transitions += reach
+        else:
+            lo = 1 << slot
+            cur = sav.reshape(-1, 2, lo)
+            new = nxt.reshape(-1, 2, lo)
+            held = size.reshape(-1, 2, lo)
+            without, with_ = cur[:, 0], cur[:, 1]
+            if not prev:
+                # The slot was free: p's first request gives it p's size.
+                np.add(held[:, 0], page.size, out=held[:, 1])
+            fit = held[:, 0] <= room
+            load = np.where(fit, without, -1)  # open from an uncached p
+            stay = load if forced else without  # close from an uncached p
+            transitions += reached(stay)
+            if more:
+                transitions += reached(load)
+            if prev:
+                gain = np.where(with_ >= 0, with_ + page.cost, -1)  # from a cached p
+                transitions += reached(with_) * (2 if more else 1)
+                pick = choice.reshape(-1, 2, lo)
+                np.greater_equal(gain, stay, out=pick[:, 0])
+                np.maximum(gain, stay, out=new[:, 0])
+                if more:
+                    np.greater_equal(gain, load, out=pick[:, 1])
+                    np.maximum(gain, load, out=new[:, 1])
+                else:
+                    pick[:, 1] = False
+                    new[:, 1] = -1
+                decisions[t] = np.packbits(choice, bitorder="little").tobytes()
+            else:
+                new[:, 0] = stay
+                new[:, 1] = load
+            sav, nxt = nxt, sav
+            reach = reached(sav)
+        if not reach:
+            raise BudgetExceeded(f"no feasible state at position {t}")
+        states += reach
+        if reach > peak:
+            peak, peak_at = reach, t
+
+    # Walk back from the empty mask: a gap opened at t is chosen iff the
+    # mask after t holds its slot bit.
+    mask = 0
+    chosen: list[tuple[str, int]] = []
+    for t in range(len(plan.rows) - 1, -1, -1):
+        slot, prev, more, ordinal = plan.rows[t]
+        if slot < 0:
+            continue
+        bit = 1 << slot
+        if more and mask & bit:
+            chosen.append((reqs[t].page, ordinal))
+        if prev and decisions[t][mask >> 3] >> (mask & 7) & 1:
+            mask |= bit
+        else:
+            mask &= ~bit
+    return SolveResult(
+        int(sav[0]), Service.of(chosen), SolveStats(states, transitions, peak, peak_at)
+    )
 
 
 def solve_brute_force(instance: Instance, *, max_gaps: int = BRUTE_FORCE_GAP_GUARD) -> SolveResult:

@@ -65,6 +65,15 @@ def test_solve_brute_matches_exact(tmp_path, capsys):
     assert "optimal_savings 16" in capsys.readouterr().out
 
 
+def test_solve_prints_the_peak_layer(tmp_path, capsys):
+    red = tmp_path / "k2.reduction"
+    main(["gen", "--graph", "K2", "--model", "simple", "--out", str(red)])
+    capsys.readouterr()
+    assert main(["solve", "--in", str(red)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:] == ["peak_states 6", "peak_position 6"]
+
+
 def test_verify_properties_fails_on_mutated_stream(tmp_path, capsys):
     bad = tmp_path / "bad.reduction"
     bad.write_text(reduction_to_text(mutate_a(base_output())))
@@ -140,6 +149,9 @@ def test_corpus_command_writes_csv(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert len(lines) == 1 + 8
     assert all(line.split(",")[8] == "pass" for line in lines[1:])
+    # simple is exact, so no optimum beats the independent set's threshold
+    assert lines[0].split(",")[-1] == "excess"
+    assert all(line.split(",")[-1] == "0" for line in lines[1:])
 
 
 def test_missing_file_is_a_clean_error(capsys):

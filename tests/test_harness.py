@@ -11,6 +11,7 @@ from gencaching import (
     CORPUS,
     Graph,
     corpus_graph,
+    generate,
     max_independent_set,
     reports_to_csv,
     reports_to_table,
@@ -121,3 +122,17 @@ def test_easy_only_row_prints_dash_for_k():
     row = reports_to_csv([report]).splitlines()[1].split(",")
     assert row[6] == "-"
     assert row[8] == "pass-easy-only"
+
+
+def test_reports_carry_the_excess_over_the_encoded_threshold():
+    # K3 fault at H=1 is the corpus's smallest case whose optimum beats the
+    # independent set's threshold.
+    fault = round_trip(CORPUS["K3"], "fault", H=1, graph_id="K3")
+    assert fault.excess == fault.optimal - generate(CORPUS["K3"], "fault", 1).threshold(1) == 1
+    simple = round_trip(CORPUS["K3"], "simple", graph_id="K3")
+    assert simple.excess == 0
+    easy = round_trip(CORPUS["P3"], "bit", H=2, budget=10, graph_id="P3")
+    assert easy.excess is None
+    lines = reports_to_csv([fault, simple, easy]).splitlines()
+    assert lines[0].split(",")[-1] == "excess"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "0", "-"]

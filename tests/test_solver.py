@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from gencaching import (
     CORPUS,
+    DEFAULT_STATE_BUDGET,
     BudgetExceeded,
     FORCED,
     IntervalPackingInstance,
@@ -30,6 +35,8 @@ from gencaching import (
     solve_exact,
     validate_service,
 )
+from gencaching import solver
+from gencaching.solver import DENSE_MIN_CELLS, _slot_plan, _solve_dense, _solve_dict
 from randgen import random_tiny_instance
 
 
@@ -165,6 +172,122 @@ def test_forced_never_beats_optional():
 def test_exact_matches_brute_force_hypothesis(seed):
     inst = random_tiny_instance(random.Random(seed))
     assert solve_exact(inst).optimal_savings == solve_brute_force(inst).optimal_savings
+
+
+# --- slot plan, dense backend and dispatch -----------------------------------
+
+
+def assert_backends_agree(inst):
+    plan = _slot_plan(inst)
+    ref = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+    dense = _solve_dense(inst, plan)
+    assert dense.optimal_savings == ref.optimal_savings
+    assert dense.explored == ref.explored  # states, transitions and the peak layer
+    assert all(type(count) is int for count in astuple(dense.explored))
+    assert validate_service(inst, dense.witness).ok
+    assert savings(inst, dense.witness) == dense.optimal_savings
+
+
+@pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
+def test_dense_and_dict_backends_agree_on_random_instances(policy):
+    pytest.importorskip("numpy")
+    rng = random.Random(20260814 if policy == OPTIONAL else 41)
+    for _ in range(60):
+        assert_backends_agree(random_tiny_instance(rng, policy))
+
+
+# C5 and K4 at H=2 are left out: the dict DP takes about 8 s (C5 fault),
+# 24 s (C5 bit) and 10 minutes (K4) on them.
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_dense_and_dict_backends_agree_on_the_corpus(name):
+    pytest.importorskip("numpy")
+    graph = CORPUS[name]
+    cases = [("fault", 1), ("bit", 1)]
+    if name not in ("C5", "K4"):
+        cases += [("fault", 2), ("bit", 2)]
+    for model, H in cases:
+        assert_backends_agree(generate(graph, model, H).instance)
+    simple = generate(graph, "simple", None)
+    assert_backends_agree(simple.instance)
+    assert_backends_agree(optional_to_forced(simple))
+
+
+def most_gaps_open_at_one_boundary(inst):
+    delta = [0] * (len(inst.requests) + 1)
+    for gap in enumerate_gaps(inst):
+        delta[gap.start] += 1
+        delta[gap.end] -= 1
+    return max(itertools.accumulate(delta), default=0)
+
+
+@pytest.mark.parametrize(
+    "name, model, H, slots",
+    [
+        ("K4", "simple", None, 11),
+        ("C4", "fault", 2, 13),
+        ("C5", "fault", 2, 15),
+        ("K3", "bit", 3, 16),
+        ("K4", "fault", 2, 21),
+        ("K4", "bit", 2, 21),
+        ("K4", "fault", 3, 31),
+    ],
+)
+def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots):
+    inst = generate(CORPUS[name], model, H).instance
+    plan = _slot_plan(inst)
+    assert plan.width == slots == most_gaps_open_at_one_boundary(inst)
+    assert len(plan.rows) == len(inst.requests)
+    # Gaps open at one boundary hold distinct slots.
+    open_slots: set[int] = set()
+    for slot, prev, more, _ in plan.rows:
+        if prev:
+            open_slots.remove(slot)
+        if more:
+            assert slot not in open_slots
+            open_slots.add(slot)
+    assert not open_slots
+
+
+def dispatch_case():
+    inst = generate(CORPUS["C4"], "fault", 2).instance
+    assert len(inst.requests) << _slot_plan(inst).width >= DENSE_MIN_CELLS
+    return inst
+
+
+def test_solve_exact_picks_the_backend_by_size(monkeypatch):
+    pytest.importorskip("numpy")
+    used = []
+    real = solver._solve_dense
+
+    def dense(*args):
+        used.append("dense")
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_solve_dense", dense)
+    solve_exact(bare(2, [("p", 1, 1)], ["p", "p"]))
+    assert used == []
+    inst = dispatch_case()
+    solve_exact(inst)
+    assert used == ["dense"]
+    # 2^13 masks exceed this budget, so the dict DP runs and refuses.
+    with pytest.raises(BudgetExceeded):
+        solve_exact(inst, budget=10)
+    assert used == ["dense"]
+
+
+def test_solve_exact_without_numpy_uses_the_dict_dp(monkeypatch):
+    inst = dispatch_case()
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises ImportError
+    want = _solve_dict(inst, _slot_plan(inst), DEFAULT_STATE_BUDGET)
+    assert solve_exact(inst) == want
+    with pytest.raises(BudgetExceeded):
+        solve_exact(inst, budget=10)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    src = Path(solver.__file__).resolve().parent.parent
+    code = "import sys, gencaching, gencaching.cli; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
 
 
 # --- interval packing export -------------------------------------------------
