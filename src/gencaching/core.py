@@ -18,10 +18,11 @@ moment it is served.
 from __future__ import annotations
 
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -94,6 +95,30 @@ class Request(NamedTuple):
     block: int | None
 
 
+class _RequestView(Sequence[Request]):
+    """An instance's request columns seen as `Request` tuples, each made on access."""
+
+    __slots__ = ("_pages", "_blocks")
+
+    def __init__(self, pages: tuple[str, ...], blocks: array) -> None:
+        self._pages = pages
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return len(self._pages)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[t] for t in range(*index.indices(len(self._pages)))]
+        t = range(len(self._pages))[index]  # negative indices and IndexError as for a tuple
+        b = self._blocks[t]
+        return Request(t, self._pages[t], None if b < 0 else b)
+
+    def __iter__(self) -> Iterator[Request]:
+        for t, (pid, b) in enumerate(zip(self._pages, self._blocks)):
+            yield Request(t, pid, None if b < 0 else b)
+
+
 @dataclass(frozen=True)
 class Block:
     """A block of the generated request sequence.
@@ -123,38 +148,35 @@ class Block:
             raise InstanceError(f"block {self.id}: {self.kind} block carries no vertex/slot")
 
 
-def _compute_spans(requests: Sequence[Request], num_blocks: int) -> list[tuple[int, int]]:
-    """Derive canonical block spans from the request stream.
+def _compute_spans(request_blocks: array, num_blocks: int) -> list[tuple[int, int]]:
+    """Derive canonical block spans from the block column (-1: outside all blocks).
 
     Raises InstanceError when a block's requests are not contiguous, blocks
     interleave, or a request references a block out of range.
     """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    count: dict[int, int] = {}
-    for r in requests:
-        b = r.block
-        if b is None:
-            continue
+    runs: list[tuple[int, int, int]] = []  # (block, first position, end)
+    t = 0
+    for b, run in groupby(request_blocks):
+        lo = t
+        t += sum(1 for _ in run)
+        if b != -1:
+            runs.append((b, lo, t))
+    for b, lo, _ in runs:
         if not 0 <= b < num_blocks:
-            raise InstanceError(f"request at {r.position} references unknown block {b}")
-        if b not in first:
-            first[b] = r.position
-        last[b] = r.position
-        count[b] = count.get(b, 0) + 1
+            raise InstanceError(f"request at {lo} references unknown block {b}")
+    found: dict[int, tuple[int, int]] = {}
+    for b, lo, hi in runs:
+        if b in found:
+            raise InstanceError(f"block {b}: requests are not contiguous")
+        found[b] = (lo, hi)
     spans: list[tuple[int, int]] = []
     cursor = 0
     for b in range(num_blocks):
-        if b in first:
-            lo, hi = first[b], last[b] + 1
-            if hi - lo != count[b]:
-                raise InstanceError(f"block {b}: requests are not contiguous")
-            if lo < cursor:
-                raise InstanceError(f"block {b}: overlaps an earlier block")
-            spans.append((lo, hi))
-            cursor = hi
-        else:
-            spans.append((cursor, cursor))
+        span = found.get(b, (cursor, cursor))
+        if span[0] < cursor:
+            raise InstanceError(f"block {b}: overlaps an earlier block")
+        spans.append(span)
+        cursor = span[1]
     return spans
 
 
@@ -163,14 +185,20 @@ class Instance:
     """A general caching instance.
 
     `pages` maps page id to Page and its insertion order is the serialization
-    order.  `cost_scale` records how integral costs relate to the model's
-    natural unit (1 except for scaled two-cost instances); all costs and
-    savings are already expressed in the scaled units.
+    order.  The request sequence is two columns indexed by position:
+    `request_pages` holds the page id of each request and `request_blocks`
+    (an `array('i')`) its block id, -1 outside all blocks.  The builders
+    store each page id as the page table's own key string, so the page
+    column costs one pointer per request.  `cost_scale` records how integral
+    costs relate to the model's natural unit (1 except for scaled two-cost
+    instances); all costs and savings are already expressed in the scaled
+    units.
     """
 
     capacity: int
     pages: Mapping[str, Page]
-    requests: tuple[Request, ...]
+    request_pages: tuple[str, ...]
+    request_blocks: array
     blocks: tuple[Block, ...] = ()
     policy: str = OPTIONAL
     cost_scale: int = 1
@@ -185,11 +213,16 @@ class Instance:
         for pid, page in self.pages.items():
             if pid != page.id:
                 raise InstanceError(f"page table key {pid!r} != page id {page.id!r}")
-        for i, r in enumerate(self.requests):
-            if r.position != i:
-                raise InstanceError(f"request {i} has position {r.position}")
-            if r.page not in self.pages:
-                raise InstanceError(f"request {i} asks for unknown page {r.page!r}")
+        pages, column = self.request_pages, self.request_blocks
+        if not isinstance(pages, tuple):
+            raise InstanceError("request_pages must be a tuple of page ids")
+        if not (isinstance(column, array) and column.typecode == "i"):
+            raise InstanceError("request_blocks must be an array('i') of block ids")
+        if len(column) != len(pages):
+            raise InstanceError(f"{len(pages)} request pages but {len(column)} request blocks")
+        if not all(map(self.pages.__contains__, pages)):
+            t = next(t for t, pid in enumerate(pages) if pid not in self.pages)
+            raise InstanceError(f"request {t} asks for unknown page {pages[t]!r}")
         if self.blocks:
             for i, b in enumerate(self.blocks):
                 if b.id != i:
@@ -199,31 +232,41 @@ class Instance:
             kinds = [b.kind for b in self.blocks]
             if kinds.count(BLOCK_INITIAL) != 1 or kinds.count(BLOCK_FINAL) != 1:
                 raise InstanceError("exactly one initial and one final block required")
-            spans = _compute_spans(self.requests, len(self.blocks))
+            spans = _compute_spans(column, len(self.blocks))
             for b, span in zip(self.blocks, spans):
                 if b.span != span:
                     raise InstanceError(f"block {b.id}: span {b.span} != canonical {span}")
-        elif any(r.block is not None for r in self.requests):
+        elif column.count(-1) != len(column):
             raise InstanceError("requests reference blocks but the instance has none")
         if self.policy == FORCED:
-            for r in self.requests:
-                if self.pages[r.page].size > self.capacity:
-                    raise InstanceError(
-                        f"forced policy: requested page {r.page} (size {self.pages[r.page].size}) "
-                        f"exceeds capacity {self.capacity}"
-                    )
+            big = {pid for pid, page in self.pages.items() if page.size > self.capacity}
+            if not big.isdisjoint(pages):
+                pid = next(pid for pid in pages if pid in big)
+                raise InstanceError(
+                    f"forced policy: requested page {pid} (size {self.pages[pid].size}) "
+                    f"exceeds capacity {self.capacity}"
+                )
 
     @property
     def num_requests(self) -> int:
-        return len(self.requests)
+        return len(self.request_pages)
+
+    @property
+    def requests(self) -> Sequence[Request]:
+        """The requests as `Request(position, page, block)` tuples, made on access.
+
+        A read-only view for callers that want one record per request; the
+        package itself reads the two columns.
+        """
+        return _RequestView(self.request_pages, self.request_blocks)
 
     @cached_property
     def _positions(self) -> Mapping[str, tuple[int, ...]]:
         """Read-only page -> positions index, built on first use (see `request_positions`)."""
         by_page: dict[str, list[int]] = {}
-        with _gc_paused():
-            for r in self.requests:
-                by_page.setdefault(r.page, []).append(r.position)
+        with _gc_paused():  # a forced instance has one list per request
+            for t, pid in enumerate(self.request_pages):
+                by_page.setdefault(pid, []).append(t)
             return MappingProxyType({pid: tuple(pos) for pid, pos in by_page.items()})
 
     def __getstate__(self) -> dict:
@@ -234,12 +277,45 @@ class Instance:
 
     def __repr__(self) -> str:  # the default would dump every request
         return (
-            f"Instance(C={self.capacity}, pages={len(self.pages)}, requests={len(self.requests)}, "
+            f"Instance(C={self.capacity}, pages={len(self.pages)}, requests={self.num_requests}, "
             f"blocks={len(self.blocks)}, policy={self.policy}, scale={self.cost_scale})"
         )
 
 
-@_gc_paused()
+def _page_table(pages: Iterable[Page | tuple[str, int, int]]) -> dict[str, Page]:
+    """The page table of Page objects or (id, size, cost) triples, keyed by each Page's id."""
+    table: dict[str, Page] = {}
+    for p in pages:
+        page = p if isinstance(p, Page) else Page(*p)
+        if page.id in table:
+            raise InstanceError(f"duplicate page id {page.id!r}")
+        table[page.id] = page
+    return table
+
+
+def _from_columns(
+    capacity: int,
+    table: Mapping[str, Page],
+    request_pages: Iterable[str],
+    request_blocks: array,
+    block_specs: Sequence[tuple[str, int | None, int | None]],
+    policy: str,
+    cost_scale: int,
+) -> Instance:
+    """The Instance of filled request columns; block spans are derived from them.
+
+    Every builder ends here.  `request_pages` must hold the table's own key
+    strings, and `block_specs` the (kind, vertex, slot) triples in block-id
+    order.
+    """
+    spans = _compute_spans(request_blocks, len(block_specs))
+    blocks = tuple(
+        Block(i, kind, vertex, slot, spans[i])
+        for i, (kind, vertex, slot) in enumerate(block_specs)
+    )
+    return Instance(capacity, table, tuple(request_pages), request_blocks, blocks, policy, cost_scale)
+
+
 def make_instance(
     capacity: int,
     pages: Iterable[Page | tuple[str, int, int]],
@@ -255,20 +331,21 @@ def make_instance(
     `blocks`: (kind, vertex, slot) triples in block-id order; spans are
     derived from the requests.
     """
-    table: dict[str, Page] = {}
-    for p in pages:
-        page = p if isinstance(p, Page) else Page(*p)
-        if page.id in table:
-            raise InstanceError(f"duplicate page id {page.id!r}")
-        table[page.id] = page
-    reqs = tuple(Request(i, pid, blk) for i, (pid, blk) in enumerate(requests))
+    table = _page_table(pages)
     block_specs = list(blocks)
-    spans = _compute_spans(reqs, len(block_specs))
-    blks = tuple(
-        Block(i, kind, vertex, slot, spans[i])
-        for i, (kind, vertex, slot) in enumerate(block_specs)
-    )
-    return Instance(capacity, table, reqs, blks, policy, cost_scale)
+    request_pages: list[str] = []
+    request_blocks = array("i")
+    for pid, blk in requests:
+        page = table.get(pid)
+        if page is None:
+            raise InstanceError(f"request {len(request_pages)} asks for unknown page {pid!r}")
+        if blk is None:
+            blk = -1
+        elif not 0 <= blk < len(block_specs):
+            raise InstanceError(f"request at {len(request_pages)} references unknown block {blk}")
+        request_pages.append(page.id)
+        request_blocks.append(blk)
+    return _from_columns(capacity, table, request_pages, request_blocks, block_specs, policy, cost_scale)
 
 
 class Gap(NamedTuple):
@@ -359,8 +436,7 @@ def merged_occupancy_runs(
 
 def _occupancy(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> list[int]:
     """Total cached size at every position, from the merged runs."""
-    n = len(instance.requests)
-    diff = [0] * (n + 1)
+    diff = [0] * (instance.num_requests + 1)
     for pid, rs in runs.items():
         size = instance.pages[pid].size
         for s, e in rs:
@@ -402,18 +478,19 @@ def _validate_runs(
     capacity_violations = [t for t, load in enumerate(profile) if load > cap]
     forced_violations: list[int] = []
     if instance.policy == FORCED:
+        pages = instance.pages
         cursor: dict[str, int] = {}
-        for r in instance.requests:
-            rs = runs.get(r.page)
+        for t, pid in enumerate(instance.request_pages):
+            rs = runs.get(pid)
             covered = False
             if rs:
-                i = cursor.get(r.page, 0)
-                while i < len(rs) and rs[i][1] < r.position:
+                i = cursor.get(pid, 0)
+                while i < len(rs) and rs[i][1] < t:
                     i += 1
-                cursor[r.page] = i
-                covered = i < len(rs) and rs[i][0] <= r.position <= rs[i][1]
-            if not covered and instance.pages[r.page].size + profile[r.position] > cap:
-                forced_violations.append(r.position)
+                cursor[pid] = i
+                covered = i < len(rs) and rs[i][0] <= t <= rs[i][1]
+            if not covered and pages[pid].size + profile[t] > cap:
+                forced_violations.append(t)
     ok = not capacity_violations and not forced_violations
     return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))
 
@@ -459,9 +536,11 @@ def instance_to_text(instance: Instance) -> str:
             lines.append(f"{b.id} phase {b.vertex}")
         else:
             lines.append(f"{b.id} {_block_kind_token(b)}")
-    lines.append(f"requests {len(instance.requests)}")
-    for r in instance.requests:
-        lines.append(f"{r.page} {r.block if r.block is not None else '-'}")
+    lines.append(f"requests {instance.num_requests}")
+    lines.extend(
+        f"{pid} {b}" if b >= 0 else f"{pid} -"
+        for pid, b in zip(instance.request_pages, instance.request_blocks)
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -550,10 +629,13 @@ def _read_instance(r: _LineReader) -> Instance:
     if policy not in POLICIES:
         raise r.error("expected 'policy optional|forced'")
     scale = r.value("scale")
-    pages = [
-        (pid, r.integer(size, "size"), r.integer(cost, "cost"))
-        for pid, size, cost in r.rows(r.value("pages"), 3, "<id> <size> <cost>")
-    ]
+    try:
+        table = _page_table(
+            (pid, r.integer(size, "size"), r.integer(cost, "cost"))
+            for pid, size, cost in r.rows(r.value("pages"), 3, "<id> <size> <cost>")
+        )
+    except InstanceError as exc:
+        raise r.error(str(exc)) from exc
     blocks: list[tuple[str, int | None, int | None]] = []
     for i, (bid, kind, *args) in enumerate(r.rows(r.value("blocks"), (2, 3), "<id> <kind> [<v>]")):
         if r.integer(bid, "block id") != i:
@@ -566,17 +648,23 @@ def _read_instance(r: _LineReader) -> Instance:
             blocks.append((BLOCK_INSERTED, None, r.integer(kind[len(BLOCK_INSERTED):], "slot")))
         else:
             raise r.error(f"unknown block kind {kind!r} with {len(args)} argument(s)")
-    requests = [
-        (pid, None if blk == "-" else r.integer(blk, "block id"))
-        for pid, blk in r.rows(r.value("requests"), 2, "<page-id> <block|->")
-    ]
+    request_pages: list[str] = []
+    request_blocks = array("i")
+    for pid, blk in r.rows(r.value("requests"), 2, "<page-id> <block|->"):
+        page = table.get(pid)
+        if page is None:
+            raise r.error(f"request for unknown page {pid!r}")
+        b = -1 if blk == "-" else r.integer(blk, "block id")
+        if b >= len(blocks):
+            raise r.error(f"request references unknown block {b}")
+        request_pages.append(page.id)
+        request_blocks.append(b)
     try:
-        return make_instance(capacity, pages, requests, blocks, policy, scale)
+        return _from_columns(capacity, table, request_pages, request_blocks, blocks, policy, scale)
     except InstanceError as exc:
         raise FormatError(f"inconsistent instance: {exc}") from exc
 
 
-@_gc_paused()
 def instance_from_text(text: str) -> Instance:
     r = _LineReader(text)
     instance = _read_instance(r)

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Mapping
 
 from .core import (
     BLOCK_PHASE,
     InvalidServiceError,
     Service,
-    _gc_paused,
     _validate_runs,
     merged_occupancy_runs,
     request_positions,
@@ -83,10 +83,8 @@ class PropertyReport:
 
 
 def _roles_of_requested(output: ReductionOutput) -> None:
-    roles = output.page_roles
-    for r in output.instance.requests:
-        if r.page not in roles:
-            raise MissingRolesError(f"no role recorded for requested page {r.page!r}")
+    for pid in filterfalse(output.page_roles.__contains__, output.instance.request_pages):
+        raise MissingRolesError(f"no role recorded for requested page {pid!r}")
 
 
 def check_properties(output: ReductionOutput) -> PropertyReport:
@@ -95,7 +93,8 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     inst = output.instance
     roles = output.page_roles
     blocks = inst.blocks
-    requests = inst.requests
+    request_pages = inst.request_pages
+    block_of = inst.request_blocks.__getitem__  # -1 outside all blocks
     positions = request_positions(inst)
 
     checks: dict[str, PropertyCheck] = {}
@@ -116,7 +115,7 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
             witness = f"vertex {v} has no vertex page"
             break
         p = positions.get(pid, ())
-        if len(p) != 2 or any(requests[t].block is not None for t in p):
+        if len(p) != 2 or max(map(block_of, p)) >= 0:
             witness = f"page {pid}: expected exactly two out-of-block requests"
             break
         span = phase_spans.get(v)
@@ -138,8 +137,8 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
         if not p:
             witness = f"page {pid}: never requested"
             break
-        bs = [requests[t].block for t in p]
-        if None in bs:
+        bs = list(map(block_of, p))
+        if min(bs) < 0:
             witness = f"page {pid}: requested outside a block"
             break
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
@@ -166,8 +165,8 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
         for border, role_name in ((blocks[0], ROLE_LEAD_IN), (blocks[-1], ROLE_LEAD_OUT)):
             lo, hi = border.span
             seen: dict[int, list[str]] = {}
-            for r in inst.requests[lo:hi]:
-                seen.setdefault(roles[r.page].edge, []).append(r.page)
+            for pid in request_pages[lo:hi]:
+                seen.setdefault(roles[pid].edge, []).append(pid)
             for j in range(output.graph.m):
                 expected = {
                     pid
@@ -189,10 +188,10 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     witness = ""
     for b in blocks:
         prev = -1
-        for r in inst.requests[b.span[0] : b.span[1]]:
-            j = roles[r.page].edge
+        for pid in request_pages[b.span[0] : b.span[1]]:
+            j = roles[pid].edge
             if j is None:
-                witness = f"block {b.id}: vertex page {r.page} inside a block"
+                witness = f"block {b.id}: vertex page {pid} inside a block"
                 break
             if j < prev:
                 witness = f"block {b.id}: edge {j} follows edge {prev}"
@@ -209,12 +208,13 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     for b in blocks:
         last_early: dict[int, int] = {}
         first_late: dict[int, int] = {}
-        for r in inst.requests[b.span[0] : b.span[1]]:
-            role = roles[r.page]
+        lo, hi = b.span
+        for t, pid in enumerate(request_pages[lo:hi], lo):
+            role = roles[pid]
             if role.role in early:
-                last_early[role.edge] = r.position
+                last_early[role.edge] = t
             elif role.role in late and role.edge not in first_late:
-                first_late[role.edge] = r.position
+                first_late[role.edge] = t
         for j, pos in last_early.items():
             if j in first_late and pos > first_late[j]:
                 witness = f"block {b.id}: edge {j} has a late-group request before position {pos}"
@@ -228,8 +228,7 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     wide_blocks: dict[int, list[tuple[str, list[int]]]] = {}
     for pid, role in roles.items():
         if role.role in WIDE_ROLES:
-            bs = [requests[t].block for t in positions.get(pid, ())]
-            bs = [b for b in bs if b is not None]
+            bs = [b for b in map(block_of, positions.get(pid, ())) if b >= 0]
             wide_blocks.setdefault(role.edge, []).append((pid, bs))
     block_by_id = {b.id: b for b in blocks}
     for j, entries in sorted(wide_blocks.items()):
@@ -260,7 +259,6 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     return PropertyReport(checks)
 
 
-@_gc_paused()
 def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) -> Service:
     """The easy-direction service for an independent set: savings threshold(|W|).
 

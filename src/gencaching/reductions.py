@@ -39,8 +39,10 @@ vertex pages at cost 1 and edge pages at cost n+1 (cost_scale n+1).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Mapping
 
 from .core import (
     BLOCK_FINAL,
@@ -53,11 +55,11 @@ from .core import (
     Instance,
     InstanceError,
     Page,
+    _from_columns,
     _gc_paused,
     _LineReader,
     _read_instance,
     instance_to_text,
-    make_instance,
 )
 
 MODEL_FAULT = "fault"
@@ -282,7 +284,6 @@ def _skeleton(graph: Graph, H: int):
     return meta, block_pages, anchors, before, after
 
 
-@_gc_paused()
 def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     """The reduction of `graph` in `model` with H groups (default `default_H`).
 
@@ -297,44 +298,52 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     elif not isinstance(H, int) or H < 1:
         raise InstanceError("H must be a positive int")
     scale = graph.n + 1 if model == MODEL_SIMPLE else 1
-    pages: list[Page] = []
+    table: dict[str, Page] = {}
     roles: dict[str, PageRole] = {}
     for v in range(graph.n):
         pid = vertex_page_id(v)
-        pages.append(Page(pid, 1, 1))
+        table[pid] = Page(pid, 1, 1)
         roles[pid] = PageRole(ROLE_VERTEX, vertex=v)
     for j in range(graph.m):
         for i in range(1, H + 1):
             for role in EDGE_ROLE_ORDER:
                 pid = edge_page_id(j, i, role)
                 size = ROLE_SIZES[role]
-                pages.append(Page(pid, size, size if model == MODEL_BIT else scale))
+                table[pid] = Page(pid, size, size if model == MODEL_BIT else scale)
                 roles[pid] = PageRole(role, edge=j, group=i)
 
     meta, block_pages, anchor_map, before, after = _skeleton(graph, H)
     blocks: list[tuple[str, int | None, int | None]] = []
-    requests: list[tuple[str, int | None]] = []
+    request_pages: list[str] = []
+    request_blocks = array("i")
     anchors: dict[int, tuple[int, int, int]] = {}
+
+    def emit(pids, block: int) -> None:
+        request_pages.extend(pids)
+        request_blocks.extend(repeat(block, len(pids)))
+
+    prev: list[str] = []
     for k, row in enumerate(block_pages):
+        row = [table[p].id for p in row]  # the table's own id strings
         if model == MODEL_BIT and k > 0:
-            prev = block_pages[k - 1]
             shared = set(prev).intersection(row)
             two = [p for p in prev if p in shared and roles[p].role not in WIDE_ROLES]
             three = [p for p in prev if p in shared and roles[p].role in WIDE_ROLES]
             assert len(three) <= 1, "two size-3 pages may never share a boundary"
             for slot, content in ((1, ()), (2, two), (3, three), (4, two), (5, ())):
-                bid = len(blocks)  # one int object shared by the block's requests
-                requests.extend((p, bid) for p in content)
+                emit(content, len(blocks))
                 blocks.append((BLOCK_INSERTED, None, slot))
-        requests.extend((p, None) for p in before.get(k, ()))
-        bid = len(blocks)
+        emit([table[p].id for p in before.get(k, ())], -1)
         if k in anchor_map:
-            anchors[bid] = anchor_map[k]
-        requests.extend((p, bid) for p in row)
+            anchors[len(blocks)] = anchor_map[k]
+        emit(row, len(blocks))
         blocks.append(meta[k])
         if k in after:
-            requests.append((after[k], None))
-    instance = make_instance(2 * graph.m * H + 1, pages, requests, blocks, OPTIONAL, scale)
+            emit([table[after[k]].id], -1)
+        prev = row
+    instance = _from_columns(
+        2 * graph.m * H + 1, table, request_pages, request_blocks, blocks, OPTIONAL, scale
+    )
     return ReductionOutput(instance, model, graph, H, roles, tuple(range(graph.n)), anchors)
 
 
@@ -369,8 +378,7 @@ def optional_to_forced(
     inst = source.instance if isinstance(source, ReductionOutput) else source
     if inst.policy != OPTIONAL:
         raise InstanceError("optional_to_forced expects an optional-policy instance")
-    requested = {r.page for r in inst.requests}
-    M = max((inst.pages[p].size for p in requested), default=0)
+    M = max((inst.pages[p].size for p in set(inst.request_pages)), default=0)
     if new_page_cost is None:
         cost = M if model == MODEL_BIT else 1
     else:
@@ -378,15 +386,13 @@ def optional_to_forced(
     base = "q"
     while any(pid.startswith(base) for pid in inst.pages):
         base += "q"
-    pages: list[Page] = list(inst.pages.values())
-    requests: list[tuple[str, int | None]] = []
-    for k, r in enumerate(inst.requests):
-        fresh = f"{base}{k}"
-        pages.append(Page(fresh, M, cost))
-        requests.append((r.page, None))
-        requests.append((fresh, None))
-    return make_instance(
-        inst.capacity + M, pages, requests, (), FORCED, inst.cost_scale
+    fresh = [f"{base}{k}" for k in range(inst.num_requests)]
+    table = dict(inst.pages)
+    table.update((pid, Page(pid, M, cost)) for pid in fresh)
+    request_pages = [pid for pair in zip(inst.request_pages, fresh) for pid in pair]
+    return _from_columns(
+        inst.capacity + M, table, request_pages, array("i", [-1]) * len(request_pages), (),
+        FORCED, inst.cost_scale,
     )
 
 
@@ -443,7 +449,6 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
     return ReductionOutput(instance, model, _graph(n, edges), H, roles, phase_order)
 
 
-@_gc_paused()
 def reduction_from_text(text: str) -> ReductionOutput:
     r = _LineReader(text)
     return _read_sidecar(r, _read_instance(r))

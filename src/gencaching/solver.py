@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     FORCED,
@@ -102,8 +103,7 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
     free: list[int] = []
     width = 0
     rows = []
-    for r in instance.requests:
-        page = r.page
+    for page in instance.request_pages:
         i = seen.get(page, 0)
         seen[page] = i + 1
         more = i + 1 < len(pos[page])
@@ -150,11 +150,12 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
 def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult:
     """The sweep over a dict of reachable masks, with shared witness chains.
 
-    Only the current and the next layer are alive, so the budget bounds
-    memory too: two layers of states plus their shared chains.  Per mask,
-    the first state reached with the best savings is kept.
+    Only the current and the next layer are alive, and a layer is refused
+    as soon as it passes the budget, so the budget bounds memory too: two
+    layers of states plus their shared chains.  Per mask, the first state
+    reached with the best savings is kept.
     """
-    reqs = instance.requests
+    request_pages = instance.request_pages
     pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
@@ -167,51 +168,57 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
     cur: dict[int, tuple] = {0: (0, 0, None)}
     states = transitions = peak = peak_at = 0
     with _gc_paused():
-        for t, (slot, _, can_open, _) in enumerate(plan.rows):
-            page = pages[reqs[t].page]
+        for t, ((slot, _, can_open, _), pid) in enumerate(zip(plan.rows, request_pages)):
+            page = pages[pid]
             sizep = page.size
             costp = page.cost
             bit = 1 << slot if slot >= 0 else 0
             nxt: dict[int, tuple] = {}
-            for mask, state in cur.items():
-                sav, size, chain = state
-                if mask & bit:
-                    # p is cached, so serving it saves its cost.  Close:
-                    # evict p after serving.  Open: keep it for its next gap.
-                    gain = sav + costp
-                    m2 = mask & ~bit
-                    transitions += 1
-                    old = nxt.get(m2)
-                    if old is None or gain > old[0]:
-                        nxt[m2] = (gain, size - sizep, chain)
-                    if can_open:
+            todo = iter(cur.items())
+            left = len(cur)
+            while left:
+                # A state adds at most two masks to nxt, so a run of
+                # (budget - len(nxt)) // 2 states cannot pass the budget
+                # unseen, and a refused layer holds at most budget + 2 states.
+                run = min(left, max((budget - len(nxt)) // 2, 1))
+                left -= run
+                for mask, state in islice(todo, run):
+                    sav, size, chain = state
+                    if mask & bit:
+                        # p is cached, so serving it saves its cost.  Close:
+                        # evict p after serving.  Open: keep it for its next gap.
+                        gain = sav + costp
+                        m2 = mask & ~bit
                         transitions += 1
-                        old = nxt.get(mask)
+                        old = nxt.get(m2)
                         if old is None or gain > old[0]:
-                            nxt[mask] = (gain, size, (t, chain))
-                else:
-                    # Close leaves the state as it is; under forced, serving
-                    # the uncovered p must fit next to the current occupancy.
-                    # Open must fit p into the cache until its next request.
-                    fits = size + sizep <= cap
-                    if fits or not forced:
-                        transitions += 1
-                        old = nxt.get(mask)
-                        if old is None or sav > old[0]:
-                            nxt[mask] = state
-                    if can_open and fits:
-                        transitions += 1
-                        m3 = mask | bit
-                        old = nxt.get(m3)
-                        if old is None or sav > old[0]:
-                            nxt[m3] = (sav, size + sizep, (t, chain))
+                            nxt[m2] = (gain, size - sizep, chain)
+                        if can_open:
+                            transitions += 1
+                            old = nxt.get(mask)
+                            if old is None or gain > old[0]:
+                                nxt[mask] = (gain, size, (t, chain))
+                    else:
+                        # Close leaves the state as it is; under forced, serving
+                        # the uncovered p must fit next to the current occupancy.
+                        # Open must fit p into the cache until its next request.
+                        fits = size + sizep <= cap
+                        if fits or not forced:
+                            transitions += 1
+                            old = nxt.get(mask)
+                            if old is None or sav > old[0]:
+                                nxt[mask] = state
+                        if can_open and fits:
+                            transitions += 1
+                            m3 = mask | bit
+                            old = nxt.get(m3)
+                            if old is None or sav > old[0]:
+                                nxt[m3] = (sav, size + sizep, (t, chain))
+                if len(nxt) > budget:
+                    raise BudgetExceeded(f"layer {t} passes the budget of {budget} states")
             reach = len(nxt)
             if not reach:
                 raise BudgetExceeded(f"no feasible state at position {t}")
-            if reach > budget:
-                raise BudgetExceeded(
-                    f"layer {t} holds {reach} states, over the budget of {budget}"
-                )
             states += reach
             if reach > peak:
                 peak, peak_at = reach, t
@@ -223,7 +230,7 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
     chosen: list[tuple[str, int]] = []
     while chain is not None:
         t, chain = chain
-        chosen.append((reqs[t].page, plan.rows[t][3]))
+        chosen.append((request_pages[t], plan.rows[t][3]))
     return SolveResult(best, Service.of(chosen), SolveStats(states, transitions, peak, peak_at))
 
 
@@ -242,7 +249,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     """
     import numpy as np
 
-    reqs = instance.requests
+    request_pages = instance.request_pages
     pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
@@ -250,7 +257,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     # Savings never exceed the total cost, and a mask's size is at most one
     # page size per slot; p's size is added before comparing with cap.
     largest = max(
-        sum(pages[r.page].cost for r in reqs),
+        sum(pages[pid].cost for pid in request_pages),
         (plan.width + 1) * max((p.size for p in pages.values()), default=0),
         cap,
     )
@@ -268,7 +275,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     reach = 1
     states = transitions = peak = peak_at = 0
     for t, (slot, prev, more, _) in enumerate(plan.rows):
-        page = pages[reqs[t].page]
+        page = pages[request_pages[t]]
         room = cap - page.size
         if slot < 0:
             # A page requested once: close is the only move, and under forced
@@ -326,7 +333,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             continue
         bit = 1 << slot
         if more and mask & bit:
-            chosen.append((reqs[t].page, ordinal))
+            chosen.append((request_pages[t], ordinal))
         if prev and decisions[t][mask >> 3] >> (mask & 7) & 1:
             mask |= bit
         else:
@@ -389,12 +396,11 @@ def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
     pages = instance.pages
     pos = request_positions(instance)
     intervals: list[tuple[int, int, int, int]] = []
-    with _gc_paused():
-        for pid in sorted(pos):
-            p = pos[pid]
-            size, cost = pages[pid].size, pages[pid].cost
-            intervals.extend((s, e, size, cost) for s, e in zip(p, p[1:]))
-        return IntervalPackingInstance(instance.capacity, tuple(intervals))
+    for pid in sorted(pos):
+        p = pos[pid]
+        size, cost = pages[pid].size, pages[pid].cost
+        intervals.extend((s, e, size, cost) for s, e in zip(p, p[1:]))
+    return IntervalPackingInstance(instance.capacity, tuple(intervals))
 
 
 def packing_to_text(packing: IntervalPackingInstance) -> str:

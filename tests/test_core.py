@@ -6,6 +6,8 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
+from array import array
 from itertools import combinations
 
 import pytest
@@ -99,7 +101,7 @@ def _fresh_index(inst):
 
 _PAGES = {"a": Page("a", 1, 1), "b": Page("b", 2, 1)}
 _BUILT = {
-    "Instance": lambda: Instance(3, _PAGES, tuple(Request(i, p, None) for i, p in enumerate("abaab"))),
+    "Instance": lambda: Instance(3, _PAGES, tuple("abaab"), array("i", [-1]) * 5),
     "make_instance": lambda: bare(3, [("a", 1, 1), ("b", 2, 1)], list("abaab")),
     "instance_from_text": lambda: instance_from_text(
         instance_to_text(generate(CORPUS["P3"], "fault", 1).instance)
@@ -112,6 +114,74 @@ _BUILT = {
 def test_request_index_matches_the_requests(route):
     inst = _BUILT[route]()
     assert list(request_positions(inst).items()) == _fresh_index(inst)
+
+
+# --- request columns ------------------------------------------------------
+
+_CANONICAL = {
+    "generate": lambda: generate(CORPUS["K3"], "bit", 2).instance,
+    "reduction_from_text": lambda: reduction_from_text(
+        reduction_to_text(generate(CORPUS["P3"], "fault", 2))
+    ).instance,
+    "make_instance": lambda: bare(3, [("p1", 1, 1), ("p2", 2, 1)], [f"p{i}" for i in (1, 2, 1)]),
+    "optional_to_forced": lambda: optional_to_forced(generate(CORPUS["K3"], "fault", 1)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_CANONICAL))
+def test_request_pages_are_the_page_table_keys(route):
+    inst = _CANONICAL[route]()
+    key = {pid: pid for pid in inst.pages}  # maps each id to the table's own string
+    assert inst.num_requests > 0
+    assert all(key[pid] is pid for pid in inst.request_pages)
+
+
+def test_requests_view_reads_the_columns():
+    inst = make_instance(
+        4,
+        [("a", 1, 1), ("b", 1, 1)],
+        [("a", 0), ("b", None), ("a", 1)],
+        [("initial", None, None), ("final", None, None)],
+    )
+    assert inst.request_pages == ("a", "b", "a")
+    assert list(inst.request_blocks) == [0, -1, 1]
+    view = inst.requests
+    assert len(view) == 3
+    assert list(view) == [Request(0, "a", 0), Request(1, "b", None), Request(2, "a", 1)]
+    assert view[-1] == view[2] == Request(2, "a", 1)
+    assert view[1:] == [Request(1, "b", None), Request(2, "a", 1)]
+    with pytest.raises(IndexError):
+        view[3]
+
+
+@pytest.mark.parametrize(
+    "pages, blocks",
+    [
+        (["a", "b"], array("i", [-1, -1])),  # not a tuple
+        (("a", "b"), [-1, -1]),  # not an array
+        (("a", "b"), array("l", [-1, -1])),
+        (("a", "b"), array("i", [-1])),  # one block id short
+        (("a", "c"), array("i", [-1, -1])),  # unknown page
+        (("a", "b"), array("i", [-1, 0])),  # a block id, but no blocks
+    ],
+)
+def test_instance_checks_its_columns(pages, blocks):
+    with pytest.raises(InstanceError):
+        Instance(3, _PAGES, pages, blocks)
+
+
+def test_generated_requests_take_a_few_bytes_each():
+    # The two columns cost 12 bytes per request; the rest (about 27 bytes per
+    # request here) is the page table, the roles and the blocks.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = generate(CORPUS["K3"], "bit", 8)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.instance.num_requests == 9846
+    assert retained / out.instance.num_requests < 64
 
 
 # --- garbage collector ----------------------------------------------------
@@ -267,6 +337,17 @@ def test_page_id_with_whitespace_rejected(pid):
         Page(pid, 1, 1)
 
 
+@pytest.mark.parametrize("block", [2, -1, 2**31, 2**40])
+def test_unknown_block_rejected(block):
+    with pytest.raises(InstanceError, match="unknown block"):
+        make_instance(
+            4,
+            [("a", 1, 1)],
+            [("a", 0), ("a", block)],
+            [("initial", None, None), ("final", None, None)],
+        )
+
+
 def test_unknown_page_rejected():
     with pytest.raises(InstanceError):
         bare(4, [("a", 1, 1)], ["a", "zzz"])
@@ -310,6 +391,8 @@ def test_service_text_round_trip():
         "caching-instance 1\ncache \u0663\npolicy optional\nscale 1\npages 0\nblocks 0\nrequests 0\n",
         "caching-instance 1\ncache 4\npolicy optional\nscale 1\npages 0\n"
         "blocks 3\n0 initial\n1 inserted\u00b2\n2 final\nrequests 0\n",
+        "caching-instance 1\ncache 4\npolicy optional\nscale 1\npages 1\na 1 1\n"
+        "blocks 2\n0 initial\n1 final\nrequests 1\na 1099511627776\n",
     ],
 )
 def test_malformed_instance_text_rejected(text):

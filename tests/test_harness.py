@@ -2,23 +2,32 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
+from itertools import combinations
 
 import pytest
 
 from gencaching import (
     BudgetExceeded,
     CORPUS,
+    DEFAULT_STATE_BUDGET,
+    MODEL_SIMPLE,
+    MODELS,
     Graph,
+    check_properties,
     corpus_graph,
+    extract_is,
     generate,
     max_independent_set,
     reports_to_csv,
     reports_to_table,
     round_trip,
     run_corpus,
+    savings,
 )
 from gencaching.harness import REPORT_COLUMNS
+from gencaching.solver import _slot_plan, _solve_dense, _solve_dict
 
 EXPECTED_MIS = {
     "K2": (1, {0}),
@@ -136,3 +145,40 @@ def test_reports_carry_the_excess_over_the_encoded_threshold():
     lines = reports_to_csv([fault, simple, easy]).splitlines()
     assert lines[0].split(",")[-1] == "excess"
     assert [line.split(",")[-1] for line in lines[1:]] == ["1", "0", "-"]
+
+
+# --- every small labelled graph ----------------------------------------------
+
+
+def labelled_graphs(max_n: int):
+    """Every labelled graph on 1..max_n vertices, isolated vertices included."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_small_labelled_graph_round_trips(model):
+    """The 75 graphs with n <= 4 at H=1: checks (a)-(f), the sandwich bounds,
+    `simple` exactness, and the dict and dense DPs agree."""
+    dense = importlib.util.find_spec("numpy") is not None
+    for graph in labelled_graphs(4):
+        out = generate(graph, model, 1)
+        inst = out.instance
+        assert check_properties(out).all_ok, graph
+        k_oracle, _ = max_independent_set(graph)
+        plan = _slot_plan(inst)
+        result = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+        best = result.optimal_savings
+        assert savings(inst, result.witness) == best  # raises on an invalid witness
+        if model == MODEL_SIMPLE:
+            picked = extract_is(out, result.witness)
+            assert best == out.threshold(k_oracle) and len(picked) == k_oracle, graph
+            assert not any(u in picked and v in picked for u, v in graph.edges), graph
+        else:
+            assert out.threshold(k_oracle) <= best <= out.threshold(0) + graph.n, graph
+        if dense:
+            other = _solve_dense(inst, plan)
+            assert (other.optimal_savings, other.explored) == (best, result.explored), graph
+            assert savings(inst, other.witness) == best

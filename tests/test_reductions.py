@@ -216,12 +216,37 @@ GENERATOR_DIGESTS = {
 }
 
 
+# The same for instance_to_text(optional_to_forced(...)) of simple and fault H=1.
+FORCED_DIGESTS = {
+    "K2": "8bf939d8a9d443d8 d33d9074dae3defb",
+    "P3": "630e049dbc770309 3e846659840a221e",
+    "K3": "ccceb644bf4e27ae 78d57a6dad432194",
+    "P4": "83b7709ec4e62d70 31c00ac9cb1335e7",
+    "K1_3": "b2f2ea0c8b8a6561 fe33caaffbcca42b",
+    "C4": "abe8ae4ddb2a74a9 225eb841a05a8e33",
+    "C5": "fda70dde2a3757a1 a08d017d00a56f5d",
+    "K4": "75531a7536525d07 7abc09cca492c25b",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
 def test_generator_bytes_pinned(name):
     runs = [(MODEL_FAULT, 1), (MODEL_FAULT, 2), (MODEL_BIT, 1), (MODEL_BIT, 2), (MODEL_SIMPLE, 1)]
-    texts = [reduction_to_text(generate(CORPUS[name], model, H)) for model, H in runs]
-    got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts)
-    assert got == tuple(GENERATOR_DIGESTS[name].split())
+    outputs = {run: generate(CORPUS[name], *run) for run in runs}
+    texts = [reduction_to_text(out) for out in outputs.values()]
+    assert tuple(map(_digest, texts)) == tuple(GENERATOR_DIGESTS[name].split())
+    # Parsing and writing again gives the same bytes.
+    again = [reduction_to_text(reduction_from_text(text)) for text in texts]
+    assert tuple(map(_digest, again)) == tuple(GENERATOR_DIGESTS[name].split())
+    forced = [
+        instance_to_text(optional_to_forced(outputs[run]))
+        for run in [(MODEL_SIMPLE, 1), (MODEL_FAULT, 1)]
+    ]
+    assert tuple(map(_digest, forced)) == tuple(FORCED_DIGESTS[name].split())
 
 
 # --- bit reduction ------------------------------------------------------------

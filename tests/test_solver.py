@@ -99,6 +99,27 @@ def test_exact_budget_exhaustion_raises():
         solve_exact(inst, budget=1)
 
 
+def test_dict_dp_refuses_a_layer_as_it_passes_the_budget():
+    # Twelve pages requested twice: the layer after position t holds 2^(t+1)
+    # masks, so with a budget of 2^11 the layer after position 11 doubles past
+    # it.  Refusing as it passes the budget keeps two layers of the budget's
+    # size (about 180 bytes per budget state); building the refused layer
+    # whole would keep three (about 290).
+    k = 12
+    inst = bare(k, [(f"p{i}", 1, 1) for i in range(k)], [f"p{i}" for i in range(k)] * 2)
+    budget = 1 << (k - 1)
+    assert _slot_plan(inst).width == k  # 2^k masks exceed the budget: the dict DP runs
+    solve_exact(inst)  # fills the tuple free lists, which tracemalloc counts as held
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"layer {k - 1} "):
+            solve_exact(inst, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * budget
+
+
 def test_brute_force_gap_guard():
     inst = bare(2, [("p", 1, 1)], ["p"] * 26)
     assert len(enumerate_gaps(inst)) == 25
