@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Iterable, Mapping
+from itertools import filterfalse, repeat
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     BLOCK_PHASE,
@@ -282,23 +282,26 @@ def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) 
             vertex_pages[role.vertex] = pid
         else:
             by_edge_group[(role.edge, role.group, role.role)] = pid
-    chosen: list[tuple[str, int]] = []
-    for j, (u, _) in enumerate(output.graph.edges):
-        family = FAMILY_WIDE_BACK if u in w else FAMILY_WIDE_FRONT
-        for i in range(1, output.H + 1):
-            for role_name in family:
-                pid = by_edge_group.get((j, i, role_name))
-                if pid is None:
-                    raise MissingRolesError(
-                        f"no page has (edge, group, role) ({j}, {i}, {role_name})"
-                    )
-                for k in range(len(positions[pid]) - 1):
-                    chosen.append((pid, k))
-    for v in sorted(w):
-        if v not in vertex_pages:
-            raise MissingRolesError(f"no page has the role of vertex {v}")
-        chosen.append((vertex_pages[v], 0))
-    return Service.of(chosen)
+
+    def pairs() -> Iterator[tuple[str, int]]:
+        for j, (u, _) in enumerate(output.graph.edges):
+            family = FAMILY_WIDE_BACK if u in w else FAMILY_WIDE_FRONT
+            for i in range(1, output.H + 1):
+                for role_name in family:
+                    pid = by_edge_group.get((j, i, role_name))
+                    if pid is None:
+                        raise MissingRolesError(
+                            f"no page has (edge, group, role) ({j}, {i}, {role_name})"
+                        )
+                    yield from zip(repeat(pid), range(len(positions[pid]) - 1))
+        for v in sorted(w):
+            if v not in vertex_pages:
+                raise MissingRolesError(f"no page has the role of vertex {v}")
+            yield vertex_pages[v], 0
+
+    # The ids are the page table's own strings and the ordinals ints, so the
+    # pairs go into the frozenset as they are, without a list or Service.of.
+    return Service(frozenset(pairs()))
 
 
 def extract_is(output: ReductionOutput, service: Service) -> frozenset[int]:

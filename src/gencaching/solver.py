@@ -21,26 +21,33 @@ backend where the layers are large and numpy is installed (see
 `DENSE_MIN_CELLS`); both explore the same reachable masks, so the optimum and
 the counters do not depend on the choice.
 
-`solve_brute_force` enumerates every subset of gaps and validates each one
-against the core validator; it is the independent oracle for the DP and is
-guarded to small gap counts.
+`solve_brute_force` is the independent oracle for the DP, guarded to small gap
+counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
+the normalized-service semantics alone: at position t only page p_t is
+requested, every other cached page covers t with the interior of one chosen
+gap, and p_t is covered iff a chosen gap ends or starts at t.  So a subset is
+valid iff interior(t) + size(p_t) * [p_t covered] <= C at every t under
+`optional`, and interior(t) + size(p_t) <= C under `forced`.  The subsets are
+visited in Gray-code order with one running occupancy, so each costs a few
+int operations instead of a call to the core validator.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from .core import (
     FORCED,
     OPTIONAL,
+    Gap,
     Instance,
     Service,
     _gc_paused,
     enumerate_gaps,
     request_positions,
-    validate_service,
 )
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -48,6 +55,9 @@ BRUTE_FORCE_GAP_GUARD = 24
 # The dense backend runs when n * 2^k reaches this many cells: below it the
 # dict DP is as fast, and the numpy import (about 0.15 s) would dominate.
 DENSE_MIN_CELLS = 1 << 21
+# Brute force precomputes its Gray-code steps through at most this many low
+# gaps, so its memory does not grow with the subset count.
+_GRAY_ROUND_GAPS = 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -62,9 +72,11 @@ class UnsupportedPolicyError(ValueError):
 class SolveStats:
     """Exploration counters (diagnostic only).
 
-    `peak_states` is the widest layer and `peak_position` the first position
-    after which it occurs; the brute-force oracle has no layers and leaves
-    both 0.
+    For the DP, `states` and `transitions` count the masks reached and the
+    moves taken over all layers; `peak_states` is the widest layer and
+    `peak_position` the first position after which it occurs.  For the
+    brute-force oracle, `states` is the 2^g subsets of the g gaps and
+    `transitions` the valid ones; it has no layers and leaves both peaks 0.
     """
 
     states: int
@@ -346,27 +358,107 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
 def solve_brute_force(instance: Instance, *, max_gaps: int = BRUTE_FORCE_GAP_GUARD) -> SolveResult:
     """Exhaustive subset enumeration over all gaps; refuses large instances.
 
-    Ties are broken towards the lexicographically smallest chosen-gap set
-    (gaps ordered by page id, then ordinal).
+    Every one of the 2^g subsets is judged by its own occupancy, with no
+    pruning and no call to the core validator: a subset is valid iff at every
+    position t, interior(t) + size(p_t) * [p_t covered at t] <= C under
+    `optional` and interior(t) + size(p_t) <= C under `forced`, where
+    interior(t) sums the sizes of the chosen gaps (s, e) with s < t < e.
+    Under `forced` an uncovered p_t must fit next to the occupancy, and a
+    covered one is part of it, so both cases give the same sum.  p_t is
+    covered iff a chosen gap ends or starts at t; any other cached page
+    covers t with the interior of exactly one chosen gap.
+
+    Ties are broken towards the lexicographically smallest chosen-gap tuple
+    (gaps ordered by page id, then ordinal).  `states` counts the subsets
+    and `transitions` the valid ones.
     """
     gaps = enumerate_gaps(instance)
     g = len(gaps)
     if g > max_gaps:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {max_gaps}")
-    costs = [instance.pages[gap.page].cost for gap in gaps]
-    best = -1
-    best_pairs: tuple[tuple[str, int], ...] = ()
+    best = best_mask = -1
     valid = 0
-    for mask in range(1 << g):
-        pairs = tuple((gaps[i].page, gaps[i].ordinal) for i in range(g) if mask >> i & 1)
-        if not validate_service(instance, Service.of(pairs)).ok:
-            continue
+    for mask, value in _feasible_subsets(instance, gaps):
         valid += 1
-        value = sum(costs[i] for i in range(g) if mask >> i & 1)
-        if value > best or (value == best and pairs < best_pairs):
-            best = value
-            best_pairs = pairs
-    return SolveResult(best, Service.of(best_pairs), SolveStats(1 << g, valid))
+        if value > best or (value == best and _lex_before(mask, best_mask)):
+            best, best_mask = value, mask
+    pairs = [(gap.page, gap.ordinal) for i, gap in enumerate(gaps) if best_mask >> i & 1]
+    return SolveResult(best, Service.of(pairs), SolveStats(1 << g, valid))
+
+
+def _lex_before(a: int, b: int) -> bool:
+    """Whether subset mask `a` lists its gaps, in index order, before `b` does,
+    for two masks of equal value.
+
+    Costs are positive, so neither of two such masks is a prefix of the other,
+    and the lowest gap in just one of them decides.
+    """
+    diff = a ^ b
+    return bool(a & diff & -diff)
+
+
+def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple[int, int]]:
+    """Yield (mask, value) for every valid subset of `gaps`, in Gray-code order.
+
+    Bit i of `mask` chooses `gaps[i]`; `value` is the chosen gaps' total cost.
+    Validity is the occupancy rule of `solve_brute_force`.  Two chosen gaps
+    of p_t may meet at t, and p_t is still cached once, so under `optional`
+    the rule is checked as two sums, one per side of t: interior(t) plus
+    size(p_t) if a chosen gap ends at t, and interior(t) plus size(p_t) if
+    one starts at t.  Under `forced` both sums are interior(t) + size(p_t).
+
+    Consecutive subsets differ in one gap, so one running occupancy is kept:
+    an int with two bit fields per position, each holding its sum plus
+    2^top - 1 - C.  2^top exceeds every sum, so a field never carries into
+    the next and its top bit is set iff the sum passes C.  Choosing or
+    dropping a gap is one add, and a subset is valid iff no top bit is set.
+    """
+    pages = instance.pages
+    cap = instance.capacity
+    forced = instance.policy == FORCED
+    sizes = [pages[pid].size for pid in instance.request_pages]
+    top = (sum(pages[gap.page].size for gap in gaps) + cap + max(sizes, default=0)).bit_length()
+    field = top + 1  # position t's fields start at bits 2t * field and (2t + 1) * field
+    n = len(sizes)
+    unit = (1 << 2 * field * n) // ((1 << 2 * field) - 1)  # a 1 in every field
+    occupancy = unit * ((1 << top) - 1 - cap)
+    if forced:
+        both = 1 + (1 << field)
+        occupancy += sum(size * both << 2 * field * t for t, size in enumerate(sizes))
+    guard = unit << top
+
+    # Per gap, the moves that choose and drop it: (occupancy change, value
+    # change, mask bit).
+    flips = []
+    for i, gap in enumerate(gaps):
+        s, e = gap.start, gap.end
+        page = pages[gap.page]
+        change = unit >> 2 * field * (n - e + s + 1) << 2 * field * (s + 1)  # s < t < e
+        if not forced:
+            change += (1 << (2 * s + 1) * field) + (1 << 2 * e * field)  # after s, before e
+        change *= page.size
+        flips.append(((change, page.cost, 1 << i), (-change, -page.cost, 1 << i)))
+
+    def flip(k: int) -> tuple[int, int, int]:
+        """The move of step k of the reflected Gray code."""
+        i = (k & -k).bit_length() - 1
+        return flips[i][k >> i + 1 & 1]
+
+    # The steps through the low gaps repeat every 2^low subsets, except that
+    # gap low-1 runs the other way in odd rounds; a step over a higher gap
+    # leads each round.
+    g = len(gaps)
+    low = min(g // 2, _GRAY_ROUND_GAPS)
+    rounds = [[flip(k) for k in range((j << low) + 1, j + 1 << low)] for j in (0, 1)]
+    mask = value = 0
+    for j in range(1 << g - low):
+        lead = flip(j << low) if j else (0, 0, 0)  # round 0 starts at the empty subset
+        for d, c, bit in chain((lead,), rounds[j & 1]):
+            occupancy += d
+            value += c
+            mask ^= bit
+            if not occupancy & guard:
+                yield mask, value
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from gencaching import (
+    CORPUS,
     Graph,
     InvalidServiceError,
     MissingRolesError,
@@ -19,6 +20,7 @@ from gencaching import (
     enumerate_gaps,
     diagnostics_to_csv,
     extract_is,
+    generate,
     max_independent_set,
     reduce_bit_optional,
     reduce_fault_optional,
@@ -131,6 +133,20 @@ def test_constructed_service_hits_threshold_simple():
     out = reduce_simple(K3)
     svc = construct_service_from_is(out, frozenset({1}))
     assert savings(out.instance, svc) == out.threshold(1) == 157
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_constructed_service_needs_no_normalizing(name):
+    # construct_service_from_is builds its frozenset directly, without Service.of.
+    graph = CORPUS[name]
+    _, mis = max_independent_set(graph)
+    for model, H in [("fault", 2), ("bit", 1), ("simple", None)]:
+        out = generate(graph, model, H)
+        for w in (mis, frozenset()):
+            svc = construct_service_from_is(out, w)
+            assert svc == Service.of(list(svc.chosen))
+            assert all(type(pid) is str and type(ordinal) is int for pid, ordinal in svc.chosen)
+            assert savings(out.instance, svc) == out.threshold(len(w))
 
 
 def test_construct_rejects_dependent_or_unknown_vertices():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -36,7 +37,13 @@ from gencaching import (
     validate_service,
 )
 from gencaching import solver
-from gencaching.solver import DENSE_MIN_CELLS, _slot_plan, _solve_dense, _solve_dict
+from gencaching.solver import (
+    DENSE_MIN_CELLS,
+    _feasible_subsets,
+    _slot_plan,
+    _solve_dense,
+    _solve_dict,
+)
 from randgen import random_tiny_instance
 
 
@@ -193,6 +200,104 @@ def test_forced_never_beats_optional():
 def test_exact_matches_brute_force_hypothesis(seed):
     inst = random_tiny_instance(random.Random(seed))
     assert solve_exact(inst).optimal_savings == solve_brute_force(inst).optimal_savings
+
+
+@pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
+def test_exact_matches_brute_force_at_14_to_18_gaps(policy):
+    rng = random.Random(1418 if policy == OPTIONAL else 1419)
+    for _ in range(6):
+        inst = random_tiny_instance(rng, policy, gaps=range(14, 19), length=(16, 26))
+        exact = solve_exact(inst)
+        brute = solve_brute_force(inst)
+        assert exact.optimal_savings == brute.optimal_savings
+        assert savings(inst, brute.witness) == brute.optimal_savings
+
+
+# --- the brute-force oracle ---------------------------------------------------
+
+
+def subsets_by_the_validator(inst):
+    """(mask, value) of every subset that validate_service accepts."""
+    gaps = enumerate_gaps(inst)
+    found = set()
+    for mask in range(1 << len(gaps)):
+        chosen = [gap for i, gap in enumerate(gaps) if mask >> i & 1]
+        if validate_service(inst, Service.of((gap.page, gap.ordinal) for gap in chosen)).ok:
+            found.add((mask, sum(inst.pages[gap.page].cost for gap in chosen)))
+    return found
+
+
+def feasible(inst):
+    found = list(_feasible_subsets(inst, enumerate_gaps(inst)))
+    assert len(found) == len(set(found))  # each subset is judged once
+    return set(found)
+
+
+@pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
+def test_feasible_subsets_are_the_valid_services(policy):
+    rng = random.Random(808 if policy == OPTIONAL else 809)
+    for _ in range(200):
+        inst = random_tiny_instance(rng, policy, gaps=range(11))
+        assert feasible(inst) == subsets_by_the_validator(inst)
+
+
+# Gaps are ordered by (page id, ordinal): bit 0 is the first gap of the
+# alphabetically first page.
+@pytest.mark.parametrize(
+    "capacity, pages, reqs, policy, masks",
+    [
+        # Two adjacent gaps of p fill C exactly; their shared request counts once.
+        (2, [("p", 2, 1)], ["p", "p", "p"], OPTIONAL, {0, 1, 2, 3}),
+        (2, [("p", 2, 1)], ["p", "p", "p"], FORCED, {0, 1, 2, 3}),
+        (3, [("p", 2, 1), ("q", 1, 1)], ["q", "p", "p", "p", "q"], OPTIONAL, set(range(8))),
+        # p is larger than C: it is never cached, but its requests are served.
+        (1, [("p", 2, 1), ("q", 1, 1)], ["q", "p", "q", "p"], OPTIONAL, {0, 2}),
+        # Forced: q must fit next to p when it is served (momentary fit).
+        (3, [("p", 2, 1), ("q", 2, 1)], ["p", "q", "p"], OPTIONAL, {0, 1}),
+        (3, [("p", 2, 1), ("q", 2, 1)], ["p", "q", "p"], FORCED, {0}),
+        (4, [("p", 2, 1), ("q", 2, 1)], ["p", "q", "p"], FORCED, {0, 1}),
+        # q is requested once: never cached, but under forced it must fit.
+        (2, [("p", 2, 1), ("q", 1, 1)], ["p", "q", "p"], OPTIONAL, {0, 1}),
+        (2, [("p", 2, 1), ("q", 1, 1)], ["p", "q", "p"], FORCED, {0}),
+        (3, [("p", 2, 1), ("q", 1, 1)], ["p", "q", "p"], FORCED, {0, 1}),
+    ],
+)
+def test_feasible_subsets_hand_made(capacity, pages, reqs, policy, masks):
+    inst = bare(capacity, pages, reqs, policy)
+    found = feasible(inst)
+    assert {mask for mask, _ in found} == masks
+    assert found == subsets_by_the_validator(inst)
+
+
+# Leading 16 hex digits of sha256 over one repr((optimum, sorted witness pairs,
+# states, transitions)) line per instance: solve_brute_force on 150 seeded
+# random_tiny_instance draws per policy, as it answered when it still ran
+# validate_service on every subset.
+BRUTE_FORCE_DIGESTS = {OPTIONAL: (8008, "b9c9e667096e843c"), FORCED: (8009, "7408d002ecf13897")}
+
+
+@pytest.mark.parametrize("policy", sorted(BRUTE_FORCE_DIGESTS))
+def test_brute_force_results_pinned(policy):
+    seed, want = BRUTE_FORCE_DIGESTS[policy]
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        result = solve_brute_force(random_tiny_instance(rng, policy))
+        row = (
+            result.optimal_savings,
+            sorted(result.witness.chosen),
+            result.explored.states,
+            result.explored.transitions,
+        )
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest()[:16] == want
+
+
+def test_brute_force_counts_subsets_and_valid_ones():
+    inst = bare(3, [("p", 2, 1), ("q", 2, 1)], ["p", "q", "p", "q"])
+    result = solve_brute_force(inst)
+    assert (result.explored.states, result.explored.transitions) == (4, 3)
+    assert result.witness == Service.of([("p", 0)])  # ties go to the smaller tuple
 
 
 # --- slot plan, dense backend and dispatch -----------------------------------
