@@ -83,7 +83,6 @@ from .properties import (
 from .harness import (
     CORPUS,
     RoundTripReport,
-    corpus_graph,
     max_independent_set,
     reports_to_csv,
     reports_to_table,

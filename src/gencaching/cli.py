@@ -17,7 +17,6 @@ from .core import (
 from .harness import (
     CORPUS,
     ROUND_TRIP_STATE_BUDGET,
-    corpus_graph,
     max_independent_set,
     reports_to_csv,
     reports_to_table,
@@ -54,7 +53,7 @@ from .solver import (
 
 def _load_graph(spec: str) -> Graph:
     if spec in CORPUS:
-        return corpus_graph(spec)
+        return CORPUS[spec]
     return graph_from_text(Path(spec).read_text())
 
 

@@ -625,10 +625,14 @@ def _read_instance(r: _LineReader) -> Instance:
     if r.keyword("caching-instance", 1) != ["1"]:
         raise r.error(f"expected {INSTANCE_HEADER!r}")
     capacity = r.value("cache")
+    if capacity < 1:
+        raise r.error("cache must be at least 1")
     (policy,) = r.keyword("policy", 1)
     if policy not in POLICIES:
         raise r.error("expected 'policy optional|forced'")
     scale = r.value("scale")
+    if scale < 1:
+        raise r.error("scale must be at least 1")
     try:
         table = _page_table(
             (pid, r.integer(size, "size"), r.integer(cost, "cost"))
@@ -645,7 +649,10 @@ def _read_instance(r: _LineReader) -> Instance:
         elif kind in (BLOCK_INITIAL, BLOCK_FINAL) and not args:
             blocks.append((kind, None, None))
         elif kind.startswith(BLOCK_INSERTED) and not args:
-            blocks.append((BLOCK_INSERTED, None, r.integer(kind[len(BLOCK_INSERTED):], "slot")))
+            slot = r.integer(kind[len(BLOCK_INSERTED):], "slot")
+            if not 1 <= slot <= 5:
+                raise r.error(f"inserted block needs slot 1..5, got {slot}")
+            blocks.append((BLOCK_INSERTED, None, slot))
         else:
             raise r.error(f"unknown block kind {kind!r} with {len(args)} argument(s)")
     request_pages: list[str] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import savings, validate_service
 from .properties import check_properties, construct_service_from_is, extract_is
@@ -38,19 +38,12 @@ CORPUS: dict[str, Graph] = {
 }
 
 
-def corpus_graph(name: str) -> Graph:
-    try:
-        return CORPUS[name]
-    except KeyError:
-        raise KeyError(f"unknown corpus graph {name!r}; have {', '.join(CORPUS)}") from None
-
-
-def max_independent_set(graph: Graph, *, max_n: int = MAX_ORACLE_VERTICES) -> tuple[int, frozenset[int]]:
+def max_independent_set(graph: Graph) -> tuple[int, frozenset[int]]:
     """Exhaustive maximum independent set; ties go to the lexicographically
-    smallest set.  Refuses graphs with more than `max_n` vertices."""
+    smallest set.  Refuses graphs with more than MAX_ORACLE_VERTICES vertices."""
     n = graph.n
-    if n > max_n:
-        raise BudgetExceeded(f"{n} vertices exceed the oracle guard of {max_n}")
+    if n > MAX_ORACLE_VERTICES:
+        raise BudgetExceeded(f"{n} vertices exceed the oracle guard of {MAX_ORACLE_VERTICES}")
     neighbor = [0] * n
     for u, v in graph.edges:
         neighbor[u] |= 1 << v
@@ -148,16 +141,13 @@ def round_trip(
 
 def run_corpus(
     models: Sequence[str] = (MODEL_SIMPLE,),
-    graphs: Mapping[str, Graph] | None = None,
     H: int | None = None,
     *,
     budget: int = ROUND_TRIP_STATE_BUDGET,
 ) -> list[RoundTripReport]:
     """round_trip over every (graph, model) pair, in corpus order."""
-    if graphs is None:
-        graphs = CORPUS
     reports = []
-    for name, graph in graphs.items():
+    for name, graph in CORPUS.items():
         for model in models:
             reports.append(round_trip(graph, model, H, budget=budget, graph_id=name))
     return reports

@@ -1,33 +1,16 @@
 """Structural properties, easy-direction services, and block diagnostics.
 
-The six properties every generated instance satisfies (checked per edge):
-
-  (a) each vertex page is requested exactly twice, outside all blocks, right
-      before and right after its phase;
-  (b) each edge page is requested once per block over a contiguous block
-      segment (fault/simple); under the bit model consecutive requests are
-      separated by exactly one block without the page for size 2 and exactly
-      two for size 3;
-  (c) the initial block requests exactly the H lead_in pages of every edge,
-      the final block exactly the H lead_out pages;
-  (d) within a block, requests are grouped by edge in edge order;
-  (e) within a block, an edge's carry_front/lead_out requests precede its
-      lead_in/carry_back requests;
-  (f) a wide page's two anchor blocks lie in one phase, and no other size-3
-      page of the same edge is requested in or between them.
-
-Diagnostics measure, per block B and edge e, the number s^e_B of e's pages
-carried into B (a chosen gap covers B's start but opened strictly earlier),
-the slack delta_B = mH - s_B, the step gamma^e_B = |s^e_{B'} - s^e_B| to the
-next block, the count epsilon_B of size-3 pages carried in, and phi_B, the
-carried pages that leave through the far side (carry_front/lead_out roles).
+`check_properties` checks the six properties (a)-(f) that every generated
+instance satisfies, each stated on the function that checks it.
+`diagnostics` measures the cache carry per block and edge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import accumulate, compress, filterfalse, repeat
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
@@ -87,176 +70,161 @@ def _roles_of_requested(output: ReductionOutput) -> None:
         raise MissingRolesError(f"no role recorded for requested page {pid!r}")
 
 
-def check_properties(output: ReductionOutput) -> PropertyReport:
-    """Check properties (a)-(f); each failure carries a human-readable witness."""
-    _roles_of_requested(output)
-    inst = output.instance
-    roles = output.page_roles
-    blocks = inst.blocks
-    request_pages = inst.request_pages
-    block_of = inst.request_blocks.__getitem__  # -1 outside all blocks
-    positions = request_positions(inst)
-
-    checks: dict[str, PropertyCheck] = {}
-
-    # (a) vertex pages straddle their phase, outside all blocks.
-    witness = ""
+def _check_a(output: ReductionOutput) -> str:
+    """(a) Each vertex page is requested exactly twice, outside all blocks, right
+    before and right after its phase; a vertex with no phase blocks has its two
+    requests adjacent."""
+    positions = request_positions(output.instance)
+    block_of = output.instance.request_blocks.__getitem__
     vertex_pages = {
-        role.vertex: pid for pid, role in roles.items() if role.role == ROLE_VERTEX
+        role.vertex: pid for pid, role in output.page_roles.items() if role.role == ROLE_VERTEX
     }
     phase_spans: dict[int, tuple[int, int]] = {}
-    for b in blocks:
+    for b in output.instance.blocks:
         if b.kind == BLOCK_PHASE:
-            lo, hi = phase_spans.get(b.vertex, (b.span[0], b.span[1]))
+            lo, hi = phase_spans.get(b.vertex, b.span)
             phase_spans[b.vertex] = (min(lo, b.span[0]), max(hi, b.span[1]))
     for v in range(output.graph.n):
         pid = vertex_pages.get(v)
         if pid is None:
-            witness = f"vertex {v} has no vertex page"
-            break
+            return f"vertex {v} has no vertex page"
         p = positions.get(pid, ())
         if len(p) != 2 or max(map(block_of, p)) >= 0:
-            witness = f"page {pid}: expected exactly two out-of-block requests"
-            break
+            return f"page {pid}: expected exactly two out-of-block requests"
         span = phase_spans.get(v)
         if span is None:
             if p[1] != p[0] + 1:
-                witness = f"page {pid}: requests must be adjacent when vertex {v} has no phase blocks"
-                break
+                return f"page {pid}: requests must be adjacent when vertex {v} has no phase blocks"
         elif p[0] != span[0] - 1 or p[1] != span[1]:
-            witness = f"page {pid}: requests at {p[0]},{p[1]} do not hug phase span {span}"
-            break
-    checks["a"] = PropertyCheck(not witness, witness)
+            return f"page {pid}: requests at {p[0]},{p[1]} do not hug phase span {span}"
+    return ""
 
-    # (b) once per block, contiguous (fault/simple) or 1/2-block separations (bit).
-    witness = ""
-    for pid, role in roles.items():
+
+def _check_b(output: ReductionOutput) -> str:
+    """(b) Each edge page is requested once per block over a contiguous block
+    segment (fault/simple); under the bit model consecutive requests are
+    separated by exactly one block without the page for size 2 and exactly two
+    for size 3."""
+    positions = request_positions(output.instance)
+    block_of = output.instance.request_blocks.__getitem__
+    bit = output.model == MODEL_BIT
+    for pid, role in output.page_roles.items():
         if role.edge is None:
             continue
         p = positions.get(pid)
         if not p:
-            witness = f"page {pid}: never requested"
-            break
+            return f"page {pid}: never requested"
         bs = list(map(block_of, p))
         if min(bs) < 0:
-            witness = f"page {pid}: requested outside a block"
-            break
-        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-            witness = f"page {pid}: requested twice in block {bs[0]}" if len(set(bs)) < len(bs) else (
-                f"page {pid}: block order regresses"
-            )
-            break
-        if output.model == MODEL_BIT:
-            want = 1 if inst.pages[pid].size == 2 else 2
-            bad = next((b1 for b1, b2 in zip(bs, bs[1:]) if b2 - b1 - 1 != want), None)
-            if bad is not None:
-                witness = f"page {pid}: separation after block {bad} is not {want}"
-                break
-        else:
-            bad = next((b1 for b1, b2 in zip(bs, bs[1:]) if b2 - b1 != 1), None)
-            if bad is not None:
-                witness = f"page {pid}: gap in block segment after block {bad}"
-                break
-    checks["b"] = PropertyCheck(not witness, witness)
+            return f"page {pid}: requested outside a block"
+        # Spans are contiguous and ordered by id, so bs never decreases.
+        steps = list(zip(bs, bs[1:]))
+        twice = next((b2 for b1, b2 in steps if b2 == b1), None)
+        if twice is not None:
+            return f"page {pid}: requested twice in block {twice}"
+        want = (1 if output.instance.pages[pid].size == 2 else 2) if bit else 0
+        bad = next((b1 for b1, b2 in steps if b2 - b1 - 1 != want), None)
+        if bad is not None:
+            if bit:
+                return f"page {pid}: separation after block {bad} is not {want}"
+            return f"page {pid}: gap in block segment after block {bad}"
+    return ""
 
-    # (c) the initial/final blocks hold exactly each edge's lead_in/lead_out pages.
-    witness = ""
-    if blocks:
-        for border, role_name in ((blocks[0], ROLE_LEAD_IN), (blocks[-1], ROLE_LEAD_OUT)):
-            lo, hi = border.span
-            seen: dict[int, list[str]] = {}
-            for pid in request_pages[lo:hi]:
-                seen.setdefault(roles[pid].edge, []).append(pid)
-            for j in range(output.graph.m):
-                expected = {
-                    pid
-                    for pid, role in roles.items()
-                    if role.edge == j and role.role == role_name
-                }
-                got = seen.get(j, [])
-                if len(got) != len(set(got)) or set(got) != expected or len(got) != output.H:
-                    witness = (
-                        f"block {border.id}: edge {j} requests {sorted(got)} "
-                        f"!= its {output.H} {role_name} pages"
-                    )
-                    break
-            if witness:
-                break
-    checks["c"] = PropertyCheck(not witness, witness)
 
-    # (d) requests inside a block are grouped by edge, in edge order.
-    witness = ""
-    for b in blocks:
+def _check_c(output: ReductionOutput) -> str:
+    """(c) The initial block requests exactly the H lead_in pages of every edge,
+    the final block exactly the H lead_out pages."""
+    inst = output.instance
+    roles = output.page_roles
+    if not inst.blocks:
+        return ""
+    for border, role_name in ((inst.blocks[0], ROLE_LEAD_IN), (inst.blocks[-1], ROLE_LEAD_OUT)):
+        expected: dict[int | None, list[str]] = {}
+        for pid, role in roles.items():
+            if role.role == role_name:
+                expected.setdefault(role.edge, []).append(pid)
+        seen: dict[int | None, list[str]] = {}
+        for pid in inst.request_pages[border.span[0] : border.span[1]]:
+            seen.setdefault(roles[pid].edge, []).append(pid)
+        for j in range(output.graph.m):
+            got = seen.get(j, [])
+            if len(got) != output.H or sorted(got) != sorted(expected.get(j, [])):
+                return (
+                    f"block {border.id}: edge {j} requests {sorted(got)} "
+                    f"!= its {output.H} {role_name} pages"
+                )
+    return ""
+
+
+def _check_d(output: ReductionOutput) -> str:
+    """(d) Within a block, requests are grouped by edge in edge order."""
+    request_pages = output.instance.request_pages
+    for b in output.instance.blocks:
         prev = -1
         for pid in request_pages[b.span[0] : b.span[1]]:
-            j = roles[pid].edge
+            j = output.page_roles[pid].edge
             if j is None:
-                witness = f"block {b.id}: vertex page {pid} inside a block"
-                break
+                return f"block {b.id}: vertex page {pid} inside a block"
             if j < prev:
-                witness = f"block {b.id}: edge {j} follows edge {prev}"
-                break
+                return f"block {b.id}: edge {j} follows edge {prev}"
             prev = j
-        if witness:
-            break
-    checks["d"] = PropertyCheck(not witness, witness)
+    return ""
 
-    # (e) per block and edge: carry_front/lead_out before lead_in/carry_back.
-    witness = ""
+
+def _check_e(output: ReductionOutput) -> str:
+    """(e) Within a block, an edge's carry_front/lead_out requests precede its
+    lead_in/carry_back requests."""
+    request_pages = output.instance.request_pages
     early = {ROLE_CARRY_FRONT, ROLE_LEAD_OUT}
     late = {ROLE_LEAD_IN, ROLE_CARRY_BACK}
-    for b in blocks:
+    for b in output.instance.blocks:
         last_early: dict[int, int] = {}
         first_late: dict[int, int] = {}
         lo, hi = b.span
         for t, pid in enumerate(request_pages[lo:hi], lo):
-            role = roles[pid]
+            role = output.page_roles[pid]
             if role.role in early:
                 last_early[role.edge] = t
             elif role.role in late and role.edge not in first_late:
                 first_late[role.edge] = t
         for j, pos in last_early.items():
             if j in first_late and pos > first_late[j]:
-                witness = f"block {b.id}: edge {j} has a late-group request before position {pos}"
-                break
-        if witness:
-            break
-    checks["e"] = PropertyCheck(not witness, witness)
+                return f"block {b.id}: edge {j} has a late-group request before position {pos}"
+    return ""
 
-    # (f) wide pages anchor inside one phase, exclusively per edge.
-    witness = ""
+
+def _check_f(output: ReductionOutput) -> str:
+    """(f) A wide page's two anchor blocks lie in one phase, and no other size-3
+    page of the same edge is requested in or between them."""
+    positions = request_positions(output.instance)
+    blocks = output.instance.blocks
+    block_of = output.instance.request_blocks.__getitem__
     wide_blocks: dict[int, list[tuple[str, list[int]]]] = {}
-    for pid, role in roles.items():
+    for pid, role in output.page_roles.items():
         if role.role in WIDE_ROLES:
             bs = [b for b in map(block_of, positions.get(pid, ())) if b >= 0]
             wide_blocks.setdefault(role.edge, []).append((pid, bs))
-    block_by_id = {b.id: b for b in blocks}
-    for j, entries in sorted(wide_blocks.items()):
+    for _, entries in sorted(wide_blocks.items()):
         for pid, bs in entries:
             if not bs:
-                witness = f"page {pid}: never requested in a block"
-                break
-            first, last = block_by_id.get(min(bs)), block_by_id.get(max(bs))
-            if (
-                first is None
-                or last is None
-                or first.kind != BLOCK_PHASE
-                or last.kind != BLOCK_PHASE
-                or first.vertex != last.vertex
-            ):
-                witness = f"page {pid}: anchor blocks {min(bs)},{max(bs)} not in one phase"
-                break
+                return f"page {pid}: never requested in a block"
+            first, last = blocks[bs[0]], blocks[bs[-1]]
+            if first.kind != BLOCK_PHASE or last.kind != BLOCK_PHASE or first.vertex != last.vertex:
+                return f"page {pid}: anchor blocks {bs[0]},{bs[-1]} not in one phase"
             for other, obs in entries:
-                if other != pid and any(min(bs) <= b <= max(bs) for b in obs):
-                    witness = f"page {other}: requested between {pid}'s anchors"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks["f"] = PropertyCheck(not witness, witness)
+                if other != pid and any(bs[0] <= b <= bs[-1] for b in obs):
+                    return f"page {other}: requested between {pid}'s anchors"
+    return ""
 
-    return PropertyReport(checks)
+
+_CHECKS = {"a": _check_a, "b": _check_b, "c": _check_c, "d": _check_d, "e": _check_e, "f": _check_f}
+
+
+def check_properties(output: ReductionOutput) -> PropertyReport:
+    """Check properties (a)-(f); each failure carries a human-readable witness."""
+    _roles_of_requested(output)
+    witnesses = {key: check(output) for key, check in _CHECKS.items()}
+    return PropertyReport({key: PropertyCheck(not w, w) for key, w in witnesses.items()})
 
 
 def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) -> Service:
@@ -351,11 +319,15 @@ class BlockDiagnostics:
 def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
     """Measure s, delta, gamma, epsilon, phi for a valid service.
 
-    A page counts for block B when a chosen run covers B's start position but
-    opened strictly earlier (the cache state entering the block); an empty
-    block's start is where it would begin.  `slots` = m*H is read from the
-    sidecar `H`, so a role table without exactly groups 1..H for every edge
-    raises MissingRolesError.
+    Per block B and edge e: s^e_B is the number of e's pages carried into B,
+    delta_B = mH - s_B the slack, gamma^e_B = |s^e_{B'} - s^e_B| the step to
+    the next block B', epsilon_B the count of size-3 pages carried in, and
+    phi_B the carried pages that leave through the far side (carry_front and
+    lead_out roles).  A page is carried into B when a chosen run covers B's
+    start position but opened strictly earlier (the cache state entering the
+    block); an empty block's start is where it would begin.  `slots` = m*H is
+    read from the sidecar `H`, so a role table without exactly groups 1..H for
+    every edge raises MissingRolesError.
     """
     _roles_of_requested(output)
     inst = output.instance
@@ -373,46 +345,29 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
     runs = merged_occupancy_runs(inst, service)
     if not _validate_runs(inst, runs).ok:
         raise InvalidServiceError("diagnostics requires a valid service")
-    blocks = inst.blocks
-    d = len(blocks)
-    starts = [b.span[0] for b in blocks]
-    diff_s = [[0] * (d + 1) for _ in range(m)]
-    diff_eps = [[0] * (d + 1) for _ in range(m)]
-    diff_phi = [[0] * (d + 1) for _ in range(m)]
+    d = len(inst.blocks)
+    starts = [b.span[0] for b in inst.blocks]
+    carry = [[[0] * m for _ in range(d + 1)] for _ in range(3)]  # diff tables of s, epsilon, phi
     for pid, page_runs in runs.items():
         role = roles[pid]
         if role.edge is None:
             continue
         j = role.edge
-        wide = role.role in WIDE_ROLES
-        crossing = role.role in (ROLE_CARRY_FRONT, ROLE_LEAD_OUT)
+        counted = (True, role.role in WIDE_ROLES, role.role in (ROLE_CARRY_FRONT, ROLE_LEAD_OUT))
+        tables = list(compress(carry, counted))
         for s0, e0 in page_runs:
             lo = bisect_right(starts, s0)
             hi = bisect_right(starts, e0)
             if lo < hi:
-                diff_s[j][lo] += 1
-                diff_s[j][hi] -= 1
-                if wide:
-                    diff_eps[j][lo] += 1
-                    diff_eps[j][hi] -= 1
-                if crossing:
-                    diff_phi[j][lo] += 1
-                    diff_phi[j][hi] -= 1
-
-    def prefix(diffs: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        acc = [0] * m
-        for b in range(d):
-            for j in range(m):
-                acc[j] += diffs[j][b]
-            rows.append(tuple(acc))
-        return tuple(rows)
-
-    s_edge = prefix(diff_s)
-    eps_edge = prefix(diff_eps)
-    phi_edge = prefix(diff_phi)
+                for diff in tables:
+                    diff[lo][j] += 1
+                    diff[hi][j] -= 1
+    s_edge, eps_edge, phi_edge = (
+        tuple(accumulate(map(tuple, diff[:d]), lambda acc, row: tuple(map(add, acc, row))))
+        for diff in carry
+    )
     gamma_edge = tuple(
-        tuple(abs(s_edge[b + 1][j] - s_edge[b][j]) for j in range(m)) for b in range(d - 1)
+        tuple(abs(b - a) for a, b in zip(row, after)) for row, after in zip(s_edge, s_edge[1:])
     )
     return BlockDiagnostics(
         slots=m * output.H,

@@ -363,26 +363,21 @@ def reduce_simple(graph: Graph) -> ReductionOutput:
 
 
 @_gc_paused()
-def optional_to_forced(
-    source: ReductionOutput | Instance, *, new_page_cost: int | None = None
-) -> Instance:
+def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
     """Make the forced-policy instance with the same optimal savings.
 
     Capacity grows by M (the largest requested size) and a fresh size-M page
     is requested after every original request, flushing any slack the larger
     cache would otherwise give.  New pages are requested once each, so they
-    are never cacheable; their cost defaults to 1 (fault/simple), M under the
-    bit model's cost-equals-size rule, or `new_page_cost` when given.
+    are never cacheable; their cost is 1 (fault/simple), or M under the bit
+    model's cost-equals-size rule.
     """
     model = source.model if isinstance(source, ReductionOutput) else None
     inst = source.instance if isinstance(source, ReductionOutput) else source
     if inst.policy != OPTIONAL:
         raise InstanceError("optional_to_forced expects an optional-policy instance")
     M = max((inst.pages[p].size for p in set(inst.request_pages)), default=0)
-    if new_page_cost is None:
-        cost = M if model == MODEL_BIT else 1
-    else:
-        cost = new_page_cost
+    cost = M if model == MODEL_BIT else 1
     base = "q"
     while any(pid.startswith(base) for pid in inst.pages):
         base += "q"

@@ -355,7 +355,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     )
 
 
-def solve_brute_force(instance: Instance, *, max_gaps: int = BRUTE_FORCE_GAP_GUARD) -> SolveResult:
+def solve_brute_force(instance: Instance) -> SolveResult:
     """Exhaustive subset enumeration over all gaps; refuses large instances.
 
     Every one of the 2^g subsets is judged by its own occupancy, with no
@@ -374,8 +374,8 @@ def solve_brute_force(instance: Instance, *, max_gaps: int = BRUTE_FORCE_GAP_GUA
     """
     gaps = enumerate_gaps(instance)
     g = len(gaps)
-    if g > max_gaps:
-        raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {max_gaps}")
+    if g > BRUTE_FORCE_GAP_GUARD:
+        raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
     best = best_mask = -1
     valid = 0
     for mask, value in _feasible_subsets(instance, gaps):

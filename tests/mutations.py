@@ -112,6 +112,15 @@ def mutate_f(output: ReductionOutput) -> ReductionOutput:
     return _rebuild(output, pairs)
 
 
+def repeat_in_last_block(output: ReductionOutput) -> ReductionOutput:
+    """Request e0.1.carry_back a second time in its last block; trips (b)."""
+    pairs = _pairs(output)
+    pid = edge_page_id(0, 1, "carry_back")
+    last = max(i for i, (p, _) in enumerate(pairs) if p == pid)
+    pairs.insert(last + 1, pairs[last])
+    return _rebuild(output, pairs)
+
+
 MUTATIONS: dict[str, object] = {
     "a": mutate_a,
     "b": mutate_b,

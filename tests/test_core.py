@@ -400,6 +400,18 @@ def test_malformed_instance_text_rejected(text):
         instance_from_text(text)
 
 
+def test_single_line_instance_errors_name_their_line():
+    head = "caching-instance 1\ncache 4\npolicy optional\nscale 1\npages 0\n"
+    for text, where in [
+        (head.replace("cache 4", "cache 0") + "blocks 0\nrequests 0\n", "line 2: cache"),
+        (head.replace("scale 1", "scale 0") + "blocks 0\nrequests 0\n", "line 4: scale"),
+        (head + "blocks 3\n0 initial\n1 inserted0\n2 final\nrequests 0\n", "line 8: inserted"),
+        (head + "blocks 3\n0 initial\n\n1 inserted9\n2 final\nrequests 0\n", "line 9: inserted"),
+    ]:
+        with pytest.raises(FormatError, match=where):
+            instance_from_text(text)
+
+
 def test_malformed_service_text_rejected():
     for text, where in [
         ("service 2\n", "line 1"),

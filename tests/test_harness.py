@@ -16,7 +16,6 @@ from gencaching import (
     MODELS,
     Graph,
     check_properties,
-    corpus_graph,
     extract_is,
     generate,
     max_independent_set,
@@ -43,9 +42,6 @@ EXPECTED_MIS = {
 
 def test_corpus_contents():
     assert list(CORPUS) == ["K2", "P3", "K3", "P4", "K1_3", "C4", "C5", "K4"]
-    assert corpus_graph("K3") == Graph(3, ((0, 1), (0, 2), (1, 2)))
-    with pytest.raises(KeyError):
-        corpus_graph("K17")
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_MIS))
@@ -61,7 +57,6 @@ def test_independent_set_oracle_edge_cases():
     assert max_independent_set(Graph(4, ())) == (4, frozenset({0, 1, 2, 3}))
     with pytest.raises(BudgetExceeded):
         max_independent_set(Graph(25, ()))
-    assert max_independent_set(Graph(25, ()), max_n=25)[0] == 25
 
 
 def test_round_trip_simple_is_exact():
@@ -108,7 +103,7 @@ def test_run_corpus_simple_all_pass():
 
 
 def test_reports_to_csv_and_table():
-    reports = run_corpus(["simple"], {"K2": CORPUS["K2"]})
+    reports = [round_trip(CORPUS["K2"], "simple", graph_id="K2")]
     csv = reports_to_csv(reports)
     lines = csv.splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -30,7 +31,7 @@ from gencaching import (
     validate_service,
     vertex_page_id,
 )
-from mutations import MUTATIONS, base_output
+from mutations import MUTATIONS, base_output, repeat_in_last_block
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))
 K2 = Graph(2, ((0, 1),))
@@ -65,6 +66,39 @@ def test_each_mutation_trips_exactly_its_property(key):
     failed = sorted(k for k, chk in report.checks.items() if not chk.ok)
     assert failed == [key]
     assert report.checks[key].witness  # says what went wrong, not just that
+
+
+# Leading 16 hex digits of one sha256 over check_properties(out).to_text(), the
+# same with the sidecar H raised by one, and diagnostics_to_csv of the
+# easy-direction service of a maximum independent set, for every corpus graph
+# and both isolated-vertex graphs under fault H=1/H=2, bit H=1 and simple;
+# then check_properties(...).to_text() of each single-property mutation.
+REPORTS_DIGEST = "603f2b5ff875086a"
+
+
+def test_reports_and_diagnostics_pinned():
+    digest = hashlib.sha256()
+    for graph in [*CORPUS.values(), *ISOLATED]:
+        _, mis = max_independent_set(graph)
+        for model, H in [("fault", 1), ("fault", 2), ("bit", 1), ("simple", None)]:
+            out = generate(graph, model, H)
+            svc = construct_service_from_is(out, mis)
+            for text in (
+                check_properties(out).to_text(),
+                check_properties(dataclasses.replace(out, H=out.H + 1)).to_text(),
+                diagnostics_to_csv(diagnostics(out, svc)),
+            ):
+                digest.update(text.encode())
+    for key in sorted(MUTATIONS):
+        digest.update(check_properties(MUTATIONS[key](base_output())).to_text().encode())
+    assert digest.hexdigest()[:16] == REPORTS_DIGEST
+
+
+def test_repeated_request_names_its_block():
+    # e0.1.carry_back spans blocks 1..5; the repeat is in block 5, not its first.
+    report = check_properties(repeat_in_last_block(base_output()))
+    assert sorted(k for k, chk in report.checks.items() if not chk.ok) == ["b"]
+    assert report.checks["b"].witness == "page e0.1.carry_back: requested twice in block 5"
 
 
 def test_sidecar_H_must_match_the_lead_pages():
