@@ -582,9 +582,12 @@ class _LineReader:
             raise self.error(f"expected '{name}' with {argc} argument(s), got {' '.join(parts)!r}")
         return parts[1:]
 
-    def value(self, name: str) -> int:
-        """The integer of a `name <n>` line."""
-        return self.integer(self.keyword(name, 1)[0], name)
+    def value(self, name: str, least: int = 0) -> int:
+        """The integer of a `name <n>` line; it must be at least `least`."""
+        n = self.integer(self.keyword(name, 1)[0], name)
+        if n < least:
+            raise self.error(f"{name} must be at least {least}, got {n}")
+        return n
 
     def rows(
         self, count: int | None, fields: int | tuple[int, ...], shape: str
@@ -624,15 +627,11 @@ class _LineReader:
 def _read_instance(r: _LineReader) -> Instance:
     if r.keyword("caching-instance", 1) != ["1"]:
         raise r.error(f"expected {INSTANCE_HEADER!r}")
-    capacity = r.value("cache")
-    if capacity < 1:
-        raise r.error("cache must be at least 1")
+    capacity = r.value("cache", 1)
     (policy,) = r.keyword("policy", 1)
     if policy not in POLICIES:
         raise r.error("expected 'policy optional|forced'")
-    scale = r.value("scale")
-    if scale < 1:
-        raise r.error("scale must be at least 1")
+    scale = r.value("scale", 1)
     try:
         table = _page_table(
             (pid, r.integer(size, "size"), r.integer(cost, "cost"))
@@ -645,16 +644,18 @@ def _read_instance(r: _LineReader) -> Instance:
         if r.integer(bid, "block id") != i:
             raise r.error(f"expected block id {i}")
         if kind == BLOCK_PHASE and len(args) == 1:
-            blocks.append((BLOCK_PHASE, r.integer(args[0], "vertex"), None))
+            spec = (BLOCK_PHASE, r.integer(args[0], "vertex"), None)
         elif kind in (BLOCK_INITIAL, BLOCK_FINAL) and not args:
-            blocks.append((kind, None, None))
+            spec = (kind, None, None)
         elif kind.startswith(BLOCK_INSERTED) and not args:
-            slot = r.integer(kind[len(BLOCK_INSERTED):], "slot")
-            if not 1 <= slot <= 5:
-                raise r.error(f"inserted block needs slot 1..5, got {slot}")
-            blocks.append((BLOCK_INSERTED, None, slot))
+            spec = (BLOCK_INSERTED, None, r.integer(kind[len(BLOCK_INSERTED):], "slot"))
         else:
             raise r.error(f"unknown block kind {kind!r} with {len(args)} argument(s)")
+        try:
+            Block(i, *spec)  # the block's own checks, reported at this line
+        except InstanceError as exc:
+            raise r.error(str(exc)) from exc
+        blocks.append(spec)
     request_pages: list[str] = []
     request_blocks = array("i")
     for pid, blk in r.rows(r.value("requests"), 2, "<page-id> <block|->"):

@@ -141,8 +141,8 @@ def round_trip(
 
 def run_corpus(
     models: Sequence[str] = (MODEL_SIMPLE,),
-    H: int | None = None,
     *,
+    H: int | None = None,
     budget: int = ROUND_TRIP_STATE_BUDGET,
 ) -> list[RoundTripReport]:
     """round_trip over every (graph, model) pair, in corpus order."""

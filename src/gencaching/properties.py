@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, filterfalse, repeat
+from itertools import filterfalse, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -347,25 +347,33 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
         raise InvalidServiceError("diagnostics requires a valid service")
     d = len(inst.blocks)
     starts = [b.span[0] for b in inst.blocks]
-    carry = [[[0] * m for _ in range(d + 1)] for _ in range(3)]  # diff tables of s, epsilon, phi
+    # Diff tables of s, epsilon and phi, each flat with m entries per block: a
+    # list per block would add 3(d + 1) objects for the cyclic GC to scan.
+    diff_s, diff_eps, diff_phi = carry = [[0] * ((d + 1) * m) for _ in range(3)]
     for pid, page_runs in runs.items():
         role = roles[pid]
         if role.edge is None:
             continue
         j = role.edge
-        counted = (True, role.role in WIDE_ROLES, role.role in (ROLE_CARRY_FRONT, ROLE_LEAD_OUT))
-        tables = list(compress(carry, counted))
+        wide = role.role in WIDE_ROLES
+        crossing = role.role in (ROLE_CARRY_FRONT, ROLE_LEAD_OUT)
+        tables = [diff_s] + [diff_eps] * wide + [diff_phi] * crossing
         for s0, e0 in page_runs:
             lo = bisect_right(starts, s0)
             hi = bisect_right(starts, e0)
             if lo < hi:
                 for diff in tables:
-                    diff[lo][j] += 1
-                    diff[hi][j] -= 1
-    s_edge, eps_edge, phi_edge = (
-        tuple(accumulate(map(tuple, diff[:d]), lambda acc, row: tuple(map(add, acc, row))))
-        for diff in carry
-    )
+                    diff[lo * m + j] += 1
+                    diff[hi * m + j] -= 1
+    prefixed = []
+    for diff in carry:
+        acc = [0] * m
+        rows = []
+        for b in range(d):
+            acc = list(map(add, acc, diff[b * m:(b + 1) * m]))
+            rows.append(tuple(acc))
+        prefixed.append(tuple(rows))
+    s_edge, eps_edge, phi_edge = prefixed
     gamma_edge = tuple(
         tuple(abs(b - a) for a, b in zip(row, after)) for row, after in zip(s_edge, s_edge[1:])
     )

@@ -405,8 +405,8 @@ def test_single_line_instance_errors_name_their_line():
     for text, where in [
         (head.replace("cache 4", "cache 0") + "blocks 0\nrequests 0\n", "line 2: cache"),
         (head.replace("scale 1", "scale 0") + "blocks 0\nrequests 0\n", "line 4: scale"),
-        (head + "blocks 3\n0 initial\n1 inserted0\n2 final\nrequests 0\n", "line 8: inserted"),
-        (head + "blocks 3\n0 initial\n\n1 inserted9\n2 final\nrequests 0\n", "line 9: inserted"),
+        (head + "blocks 3\n0 initial\n1 inserted0\n2 final\nrequests 0\n", "line 8: block 1: inserted"),
+        (head + "blocks 3\n0 initial\n\n1 inserted9\n2 final\nrequests 0\n", "line 9: block 1: inserted"),
     ]:
         with pytest.raises(FormatError, match=where):
             instance_from_text(text)

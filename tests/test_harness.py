@@ -25,7 +25,7 @@ from gencaching import (
     run_corpus,
     savings,
 )
-from gencaching.harness import REPORT_COLUMNS
+from gencaching.harness import MAX_ORACLE_VERTICES, REPORT_COLUMNS
 from gencaching.solver import _slot_plan, _solve_dense, _solve_dict
 
 EXPECTED_MIS = {
@@ -57,6 +57,8 @@ def test_independent_set_oracle_edge_cases():
     assert max_independent_set(Graph(4, ())) == (4, frozenset({0, 1, 2, 3}))
     with pytest.raises(BudgetExceeded):
         max_independent_set(Graph(25, ()))
+    n = MAX_ORACLE_VERTICES
+    assert max_independent_set(Graph(n, ())) == (n, frozenset(range(n)))
 
 
 def test_round_trip_simple_is_exact():
@@ -86,6 +88,8 @@ def test_round_trip_downgrades_to_easy_direction_on_budget():
 
 
 def test_run_corpus_simple_all_pass():
+    with pytest.raises(TypeError):
+        run_corpus(["simple"], 1)  # H is keyword-only
     reports = run_corpus(["simple"])
     assert [r.graph_id for r in reports] == list(CORPUS)
     assert all(r.verdict == "pass" for r in reports)

@@ -127,11 +127,19 @@ def test_dict_dp_refuses_a_layer_as_it_passes_the_budget():
     assert peak < 240 * budget
 
 
-def test_brute_force_gap_guard():
+def test_brute_force_gap_guard(monkeypatch):
     inst = bare(2, [("p", 1, 1)], ["p"] * 26)
     assert len(enumerate_gaps(inst)) == 25
     with pytest.raises(BudgetExceeded):
         solve_brute_force(inst)
+    # The guard admits exactly BRUTE_FORCE_GAP_GUARD gaps; 2**24 subsets are
+    # too slow to run, so the boundary is checked on a lowered guard.
+    small = bare(2, [("p", 1, 1)], ["p"] * 6)
+    monkeypatch.setattr(solver, "BRUTE_FORCE_GAP_GUARD", 4)
+    with pytest.raises(BudgetExceeded):
+        solve_brute_force(small)
+    monkeypatch.setattr(solver, "BRUTE_FORCE_GAP_GUARD", 5)
+    assert solve_brute_force(small).optimal_savings == 5
 
 
 # --- randomized agreement ---------------------------------------------------
