@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby, repeat
 from types import MappingProxyType
@@ -70,7 +70,7 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Page:
     """A page with a positive integer size and fault cost."""
 
@@ -119,7 +119,7 @@ class _RequestView(Sequence[Request]):
             yield Request(t, pid, None if b < 0 else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A block of the generated request sequence.
 
@@ -148,19 +148,22 @@ class Block:
             raise InstanceError(f"block {self.id}: {self.kind} block carries no vertex/slot")
 
 
+def _block_runs(request_blocks: array) -> Iterator[tuple[int, int, int]]:
+    """(block, first position, end) of each maximal run of equal block ids."""
+    t = 0
+    for b, run in groupby(request_blocks):
+        lo = t
+        t += sum(1 for _ in run)
+        yield b, lo, t
+
+
 def _compute_spans(request_blocks: array, num_blocks: int) -> list[tuple[int, int]]:
     """Derive canonical block spans from the block column (-1: outside all blocks).
 
     Raises InstanceError when a block's requests are not contiguous, blocks
     interleave, or a request references a block out of range.
     """
-    runs: list[tuple[int, int, int]] = []  # (block, first position, end)
-    t = 0
-    for b, run in groupby(request_blocks):
-        lo = t
-        t += sum(1 for _ in run)
-        if b != -1:
-            runs.append((b, lo, t))
+    runs = [run for run in _block_runs(request_blocks) if run[0] != -1]
     for b, lo, _ in runs:
         if not 0 <= b < num_blocks:
             raise InstanceError(f"request at {lo} references unknown block {b}")
@@ -261,13 +264,15 @@ class Instance:
         return _RequestView(self.request_pages, self.request_blocks)
 
     @cached_property
-    def _positions(self) -> Mapping[str, tuple[int, ...]]:
+    def _positions(self) -> Mapping[str, array]:
         """Read-only page -> positions index, built on first use (see `request_positions`)."""
-        by_page: dict[str, list[int]] = {}
-        with _gc_paused():  # a forced instance has one list per request
-            for t, pid in enumerate(self.request_pages):
-                by_page.setdefault(pid, []).append(t)
-            return MappingProxyType({pid: tuple(pos) for pid, pos in by_page.items()})
+        by_page: dict[str, array] = {}
+        for t, pid in enumerate(self.request_pages):
+            pos = by_page.get(pid)
+            if pos is None:
+                by_page[pid] = pos = array("i")
+            pos.append(t)
+        return MappingProxyType(by_page)
 
     def __getstate__(self) -> dict:
         # A mappingproxy cannot be pickled or deep-copied; a copy rebuilds the index on first use.
@@ -363,26 +368,70 @@ class Gap(NamedTuple):
 
 @dataclass(frozen=True)
 class Service:
-    """A normalized service: the set of chosen gaps, as (page, ordinal) pairs."""
+    """A normalized service: per page, the ordinals of its chosen gaps.
 
-    chosen: frozenset[tuple[str, int]] = frozenset()
+    `runs` maps each page id to its chosen ordinals as maximal runs
+    (first, last), both inclusive, in increasing order, pages in id order.
+    The constructor takes runs in any order, overlapping or touching, and
+    merges them, so equal gap sets make equal services; a page whose every
+    gap is chosen costs one run.  Ordinals are checked against an instance
+    only when the service is used with it (UnknownGapError).  `runs` is
+    shared, so it must not be modified.
+    """
+
+    runs: Mapping[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        canonical: dict[str, tuple[tuple[int, int], ...]] = {}
+        for pid in sorted(self.runs):
+            merged: list[tuple[int, int]] = []
+            for first, last in sorted(self.runs[pid]):
+                if first > last:
+                    raise InstanceError(f"page {pid!r}: run ({first}, {last}) holds no ordinal")
+                if merged and first <= merged[-1][1] + 1:
+                    if last > merged[-1][1]:
+                        merged[-1] = (merged[-1][0], last)
+                else:
+                    merged.append((first, last))
+            if merged:
+                canonical[pid] = tuple(merged)
+        object.__setattr__(self, "runs", canonical)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, int]]) -> "Service":
-        return cls(frozenset((str(p), int(k)) for p, k in pairs))
+        """The service of (page id, ordinal) pairs, in any order; duplicates count once."""
+        by_page: dict[str, list[tuple[int, int]]] = {}
+        for p, k in pairs:
+            k = int(k)
+            by_page.setdefault(str(p), []).append((k, k))
+        return cls(by_page)
+
+    @property
+    def chosen(self) -> frozenset[tuple[str, int]]:
+        """The chosen gaps as (page, ordinal) pairs, made on access.
+
+        For callers that want one record per gap; the package reads `runs`.
+        """
+        return frozenset(
+            (pid, k) for pid, rs in self.runs.items() for first, last in rs for k in range(first, last + 1)
+        )
 
     def __len__(self) -> int:
-        return len(self.chosen)
+        return sum(last - first + 1 for rs in self.runs.values() for first, last in rs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.runs.items()))
 
     def __repr__(self) -> str:
-        return f"Service({len(self.chosen)} gaps)"
+        return f"Service({len(self)} gaps)"
 
 
-def request_positions(instance: Instance) -> Mapping[str, tuple[int, ...]]:
+def request_positions(instance: Instance) -> Mapping[str, array]:
     """Positions of each requested page, in request order; pages in first-request order.
 
-    The index is built once per instance and shared by every caller, so it is
-    read-only.
+    Each page's positions are an `array('i')`.  The index is built once per
+    instance and shared by every caller, so neither it nor its arrays may be
+    modified.
     """
     return instance._positions
 
@@ -393,7 +442,7 @@ def enumerate_gaps(instance: Instance) -> list[Gap]:
     by_page = request_positions(instance)
     gaps: list[Gap] = []
     for pid in sorted(by_page):
-        pos = by_page[pid]
+        pos = by_page[pid].tolist()  # one int per position, shared by the gaps it bounds
         for k in range(len(pos) - 1):
             gaps.append(Gap(pid, k, pos[k], pos[k + 1]))
     return gaps
@@ -404,33 +453,22 @@ def merged_occupancy_runs(
 ) -> dict[str, list[tuple[int, int]]]:
     """Per page, the maximal closed position runs covered by its chosen gaps.
 
-    Adjacent chosen gaps of one page share an endpoint and merge into a single
-    run, so occupancy is a per-page union (a page is cached at most once).
-    Raises UnknownGapError when a chosen pair references a gap that does not
-    exist.
+    Adjacent chosen gaps of one page share an endpoint, so each of the
+    service's ordinal runs (first, last) covers the one position run from
+    the page's request `first` to its request `last + 1`, and occupancy is a
+    per-page union (a page is cached at most once).  Raises UnknownGapError
+    when a chosen ordinal references a gap that does not exist.
     """
     pos = request_positions(instance)
-    by_page: dict[str, list[int]] = {}
-    for pid, k in service.chosen:
-        by_page.setdefault(pid, []).append(k)
     runs: dict[str, list[tuple[int, int]]] = {}
-    for pid, ks in by_page.items():
+    for pid, ordinal_runs in service.runs.items():
         p = pos.get(pid)
         if p is None:
             raise UnknownGapError(f"page {pid!r} has no requests (or does not exist)")
-        ks.sort()
-        if ks[0] < 0 or ks[-1] >= len(p) - 1:
-            raise UnknownGapError(f"page {pid!r} has no gap with ordinal {ks[0] if ks[0] < 0 else ks[-1]}")
-        out: list[tuple[int, int]] = []
-        start = p[ks[0]]
-        prev = ks[0]
-        for k in ks[1:]:
-            if k != prev + 1:
-                out.append((start, p[prev + 1]))
-                start = p[k]
-            prev = k
-        out.append((start, p[prev + 1]))
-        runs[pid] = out
+        first, last = ordinal_runs[0][0], ordinal_runs[-1][1]
+        if first < 0 or last >= len(p) - 1:
+            raise UnknownGapError(f"page {pid!r} has no gap with ordinal {first if first < 0 else last}")
+        runs[pid] = [(p[a], p[b + 1]) for a, b in ordinal_runs]
     return runs
 
 
@@ -505,7 +543,11 @@ def savings(instance: Instance, service: Service) -> int:
             f"{list(report.forced_violations)[:5]}"
         )
     pages = instance.pages
-    return sum(pages[pid].cost for pid, _ in service.chosen)
+    return sum(
+        pages[pid].cost * (last - first + 1)
+        for pid, rs in service.runs.items()
+        for first, last in rs
+    )
 
 
 # --- text formats -----------------------------------------------------------
@@ -520,7 +562,13 @@ def _block_kind_token(b: Block) -> str:
     return b.kind
 
 
-def instance_to_text(instance: Instance) -> str:
+def _instance_text_parts(instance: Instance) -> list[str]:
+    """The text of `instance_to_text` as parts to concatenate.
+
+    The requests of one run of equal block ids all end in the same block
+    token, so a run is one join over its slice of the page column instead of
+    one string per request.
+    """
     lines = [
         INSTANCE_HEADER,
         f"cache {instance.capacity}",
@@ -537,11 +585,16 @@ def instance_to_text(instance: Instance) -> str:
         else:
             lines.append(f"{b.id} {_block_kind_token(b)}")
     lines.append(f"requests {instance.num_requests}")
-    lines.extend(
-        f"{pid} {b}" if b >= 0 else f"{pid} -"
-        for pid, b in zip(instance.request_pages, instance.request_blocks)
-    )
-    return "\n".join(lines) + "\n"
+    parts = ["\n".join(lines) + "\n"]
+    pages = instance.request_pages
+    for b, lo, hi in _block_runs(instance.request_blocks):
+        end = f" {b}\n" if b >= 0 else " -\n"
+        parts += (end.join(pages[lo:hi]), end)
+    return parts
+
+
+def instance_to_text(instance: Instance) -> str:
+    return "".join(_instance_text_parts(instance))
 
 
 class _LineReader:
@@ -656,15 +709,21 @@ def _read_instance(r: _LineReader) -> Instance:
         except InstanceError as exc:
             raise r.error(str(exc)) from exc
         blocks.append(spec)
+    # The writer's block tokens map straight to block ids; any other token
+    # (such as 007) goes through the strict integer rule.
+    block_ids = {str(i): i for i in range(len(blocks))}
+    block_ids["-"] = -1
     request_pages: list[str] = []
     request_blocks = array("i")
     for pid, blk in r.rows(r.value("requests"), 2, "<page-id> <block|->"):
         page = table.get(pid)
         if page is None:
             raise r.error(f"request for unknown page {pid!r}")
-        b = -1 if blk == "-" else r.integer(blk, "block id")
-        if b >= len(blocks):
-            raise r.error(f"request references unknown block {b}")
+        b = block_ids.get(blk)
+        if b is None:
+            b = r.integer(blk, "block id")
+            if b >= len(blocks):
+                raise r.error(f"request references unknown block {b}")
         request_pages.append(page.id)
         request_blocks.append(b)
     try:
@@ -682,8 +741,9 @@ def instance_from_text(text: str) -> Instance:
 
 def service_to_text(service: Service) -> str:
     lines = [SERVICE_HEADER]
-    for pid, k in sorted(service.chosen):
-        lines.append(f"{pid} {k}")
+    for pid, rs in service.runs.items():  # pages in id order, ordinals increasing
+        for first, last in rs:
+            lines.extend(f"{pid} {k}" for k in range(first, last + 1))
     return "\n".join(lines) + "\n"
 
 
@@ -697,4 +757,4 @@ def service_from_text(text: str) -> Service:
         if pair in chosen:
             raise r.error(f"duplicate gap {pid} {pair[1]}")
         chosen.add(pair)
-    return Service(frozenset(chosen))
+    return Service.of(chosen)

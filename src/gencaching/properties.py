@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import (
     BLOCK_PHASE,
@@ -231,8 +231,8 @@ def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) 
     """The easy-direction service for an independent set: savings threshold(|W|).
 
     Caches, for every edge, the four page families whose size-3 member avoids
-    the phases of `selected` (all gaps of each page), plus the single gap of
-    every selected vertex's page.
+    the phases of `selected` (all gaps of each page, one ordinal run), plus
+    the single gap of every selected vertex's page.
     """
     w = frozenset(selected)
     n = output.graph.n
@@ -251,36 +251,33 @@ def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) 
         else:
             by_edge_group[(role.edge, role.group, role.role)] = pid
 
-    def pairs() -> Iterator[tuple[str, int]]:
-        for j, (u, _) in enumerate(output.graph.edges):
-            family = FAMILY_WIDE_BACK if u in w else FAMILY_WIDE_FRONT
-            for i in range(1, output.H + 1):
-                for role_name in family:
-                    pid = by_edge_group.get((j, i, role_name))
-                    if pid is None:
-                        raise MissingRolesError(
-                            f"no page has (edge, group, role) ({j}, {i}, {role_name})"
-                        )
-                    yield from zip(repeat(pid), range(len(positions[pid]) - 1))
-        for v in sorted(w):
-            if v not in vertex_pages:
-                raise MissingRolesError(f"no page has the role of vertex {v}")
-            yield vertex_pages[v], 0
-
-    # The ids are the page table's own strings and the ordinals ints, so the
-    # pairs go into the frozenset as they are, without a list or Service.of.
-    return Service(frozenset(pairs()))
+    runs: dict[str, list[tuple[int, int]]] = {}
+    for j, (u, _) in enumerate(output.graph.edges):
+        family = FAMILY_WIDE_BACK if u in w else FAMILY_WIDE_FRONT
+        for i in range(1, output.H + 1):
+            for role_name in family:
+                pid = by_edge_group.get((j, i, role_name))
+                if pid is None:
+                    raise MissingRolesError(
+                        f"no page has (edge, group, role) ({j}, {i}, {role_name})"
+                    )
+                gaps = len(positions.get(pid, ())) - 1
+                if gaps > 0:
+                    runs[pid] = [(0, gaps - 1)]
+    for v in sorted(w):
+        if v not in vertex_pages:
+            raise MissingRolesError(f"no page has the role of vertex {v}")
+        runs[vertex_pages[v]] = [(0, 0)]
+    return Service(runs)
 
 
 def extract_is(output: ReductionOutput, service: Service) -> frozenset[int]:
-    """Vertices whose vertex page is cached across its phase."""
-    vertex_gaps = {
-        (pid, 0): role.vertex
-        for pid, role in output.page_roles.items()
-        if role.role == ROLE_VERTEX
-    }
+    """Vertices whose vertex page is cached across its phase (its gap 0 is chosen)."""
+    roles = output.page_roles
     return frozenset(
-        vertex_gaps[pair] for pair in service.chosen if pair in vertex_gaps
+        roles[pid].vertex
+        for pid, rs in service.runs.items()
+        if pid in roles and roles[pid].role == ROLE_VERTEX and any(a <= 0 <= b for a, b in rs)
     )
 
 

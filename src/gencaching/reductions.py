@@ -51,15 +51,14 @@ from .core import (
     BLOCK_PHASE,
     FORCED,
     OPTIONAL,
-    FormatError,
     Instance,
     InstanceError,
     Page,
     _from_columns,
     _gc_paused,
+    _instance_text_parts,
     _LineReader,
     _read_instance,
-    instance_to_text,
 )
 
 MODEL_FAULT = "fault"
@@ -137,26 +136,32 @@ def graph_to_text(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
-    try:
-        return Graph(n, tuple(edges))
-    except InstanceError as exc:
-        raise FormatError(str(exc)) from exc
+def _read_edge(r: _LineReader, u_token: str, v_token: str, n: int, seen: set) -> tuple[int, int]:
+    """The edge of the line just read, with the `Graph` checks reported at that line;
+    `seen` holds the normalized edges read before."""
+    u, v = r.integer(u_token, "vertex"), r.integer(v_token, "vertex")
+    if u >= n or v >= n:
+        raise r.error(f"edge ({u}, {v}) out of range")
+    if u == v:
+        raise r.error(f"self-loop at vertex {u}")
+    e = (min(u, v), max(u, v))
+    if e in seen:
+        raise r.error(f"duplicate edge {e}")
+    seen.add(e)
+    return u, v
 
 
 def graph_from_text(text: str) -> Graph:
     r = _LineReader(text)
     ((n_token, m_token),) = r.rows(1, 2, "<n> <m>")
     n = r.integer(n_token, "n")
-    edges = [
-        (r.integer(u, "vertex"), r.integer(v, "vertex"))
-        for u, v in r.rows(r.integer(m_token, "m"), 2, "<u> <v>")
-    ]
+    seen: set[tuple[int, int]] = set()
+    edges = [_read_edge(r, u, v, n, seen) for u, v in r.rows(r.integer(m_token, "m"), 2, "<u> <v>")]
     r.end("the edge list")
-    return _graph(n, edges)
+    return Graph(n, tuple(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageRole:
     """Gadget role of a page: its role tag plus edge/group or vertex."""
 
@@ -287,16 +292,17 @@ def _skeleton(graph: Graph, H: int):
 def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     """The reduction of `graph` in `model` with H groups (default `default_H`).
 
-    `simple` ignores `H` and uses 1.  The capacity is 2mH+1 in every model.
+    `H` is None or a positive int (not a bool) in every model; `simple` then
+    uses 1.  The capacity is 2mH+1 in every model.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
+    if H is not None and (isinstance(H, bool) or not isinstance(H, int) or H < 1):
+        raise InstanceError("H must be a positive int")
     if model == MODEL_SIMPLE:
         H = 1
     elif H is None:
         H = default_H(graph)
-    elif not isinstance(H, int) or H < 1:
-        raise InstanceError("H must be a positive int")
     scale = graph.n + 1 if model == MODEL_SIMPLE else 1
     table: dict[str, Page] = {}
     roles: dict[str, PageRole] = {}
@@ -395,8 +401,7 @@ def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
 
 
 def reduction_to_text(output: ReductionOutput) -> str:
-    lines = [instance_to_text(output.instance).rstrip("\n")]
-    lines.append(f"model {output.model}")
+    lines = [f"model {output.model}"]
     lines.append(f"H {output.H}")
     lines.append(f"graph {output.graph.n} {output.graph.m}")
     for u, v in output.graph.edges:
@@ -411,7 +416,8 @@ def reduction_to_text(output: ReductionOutput) -> str:
             f"{role.group if role.group is not None else dash} "
             f"{role.vertex if role.vertex is not None else dash}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "".join(_instance_text_parts(output.instance) + ["\n".join(lines)])
 
 
 def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
@@ -424,10 +430,8 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
         raise r.error(f"H {H} is not valid for the {model} model")
     n_token, m_token = r.keyword("graph", 2)
     n = r.integer(n_token, "n")
-    edges = []
-    for _ in range(r.integer(m_token, "m")):
-        u, v = r.keyword("edge", 2)
-        edges.append((r.integer(u, "vertex"), r.integer(v, "vertex")))
+    seen: set[tuple[int, int]] = set()
+    edges = [_read_edge(r, *r.keyword("edge", 2), n, seen) for _ in range(r.integer(m_token, "m"))]
     phase_order = tuple(r.integer(v, "vertex") for v in r.keyword("phases", n))
     if sorted(phase_order) != list(range(n)):
         raise r.error(f"phases must list each of the {n} vertices once")
@@ -441,7 +445,7 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
         edge, group, vertex = [None if t == "-" else r.integer(t, "role field") for t in fields]
         roles[pid] = PageRole(role, edge, group, vertex)
     r.end("roles section")
-    return ReductionOutput(instance, model, _graph(n, edges), H, roles, phase_order)
+    return ReductionOutput(instance, model, Graph(n, tuple(edges)), H, roles, phase_order)
 
 
 def reduction_from_text(text: str) -> ReductionOutput:

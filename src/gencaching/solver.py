@@ -489,7 +489,7 @@ def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
     pos = request_positions(instance)
     intervals: list[tuple[int, int, int, int]] = []
     for pid in sorted(pos):
-        p = pos[pid]
+        p = pos[pid].tolist()  # one int per position, shared by the gaps it bounds
         size, cost = pages[pid].size, pages[pid].cost
         intervals.extend((s, e, size, cost) for s, e in zip(p, p[1:]))
     return IntervalPackingInstance(instance.capacity, tuple(intervals))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import pickle
 import random
 import tracemalloc
@@ -30,6 +31,7 @@ from gencaching import (
     Request,
     Service,
     UnknownGapError,
+    construct_service_from_is,
     enumerate_gaps,
     generate,
     graph_from_text,
@@ -37,6 +39,7 @@ from gencaching import (
     instance_from_text,
     instance_to_text,
     make_instance,
+    max_independent_set,
     occupancy_profile,
     optional_to_forced,
     reduction_from_text,
@@ -87,9 +90,17 @@ def test_request_index_is_shared_and_read_only():
         index["a"] = (0,)
     with pytest.raises(TypeError):
         index["c"] = (0,)
-    assert dict(index) == {"b": (0, 2), "a": (1,)}
+    assert {pid: tuple(pos) for pid, pos in index.items()} == {"b": (0, 2), "a": (1,)}
     for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert copied == inst and request_positions(copied) == index
+
+
+def test_slotted_records_survive_pickle_and_deepcopy():
+    # Page, Block and PageRole are frozen dataclasses with __slots__.
+    out = generate(CORPUS["P3"], "bit", 1)
+    assert not hasattr(out.instance.blocks[0], "__dict__")
+    for copied in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+        assert copied == out and reduction_to_text(copied) == reduction_to_text(out)
 
 
 def _fresh_index(inst):
@@ -113,7 +124,8 @@ _BUILT = {
 @pytest.mark.parametrize("route", sorted(_BUILT))
 def test_request_index_matches_the_requests(route):
     inst = _BUILT[route]()
-    assert list(request_positions(inst).items()) == _fresh_index(inst)
+    index = request_positions(inst)
+    assert [(pid, tuple(pos)) for pid, pos in index.items()] == _fresh_index(inst)
 
 
 # --- request columns ------------------------------------------------------
@@ -182,6 +194,35 @@ def test_generated_requests_take_a_few_bytes_each():
         tracemalloc.stop()
     assert out.instance.num_requests == 9846
     assert retained / out.instance.num_requests < 64
+
+
+def _retained(build):
+    """What `build()` returns, and the bytes it leaves allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_request_index_takes_a_few_bytes_per_request():
+    # One array('i') per page: 4 bytes per position plus the array's slack;
+    # a tuple of ints took about 36 bytes per request.
+    inst = generate(CORPUS["K3"], "bit", 8).instance
+    _, retained = _retained(lambda: request_positions(inst))
+    assert retained / inst.num_requests < 8
+
+
+def test_constructed_service_takes_a_few_bytes_per_gap():
+    # One ordinal run per cached page; a frozenset of (page, ordinal) pairs
+    # took about 127 bytes per chosen gap.
+    out = generate(CORPUS["K3"], "bit", 8)
+    request_positions(out.instance)  # built before, as by check_properties
+    svc, retained = _retained(lambda: construct_service_from_is(out, [0]))
+    assert len(svc) == 6961
+    assert retained / len(svc) < 4
 
 
 # --- garbage collector ----------------------------------------------------
@@ -294,6 +335,66 @@ def test_savings_rejects_invalid_service():
 
 def test_service_of_deduplicates():
     assert Service.of([("p", 0), ("p", 0)]) == Service.of([("p", 0)])
+
+
+_PAIRS = st.lists(st.tuples(st.sampled_from("abc"), st.integers(-3, 8) | st.just(2**40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS, st.randoms(use_true_random=False))
+def test_service_of_ignores_order_and_duplicates(pairs, rng):
+    svc = Service.of(pairs)
+    shuffled = pairs + pairs[: len(pairs) // 2]
+    rng.shuffle(shuffled)
+    again = Service.of(shuffled)
+    assert again == svc and hash(again) == hash(svc)
+    assert svc.chosen == set(pairs) and len(svc) == len(set(pairs))
+    # The text is the sorted pairs, one per line, as when a service was a pair set.
+    assert service_to_text(svc) == "".join(
+        f"{line}\n" for line in ["service 1"] + [f"{p} {k}" for p, k in sorted(set(pairs))]
+    )
+    for pid, rs in svc.runs.items():  # maximal runs: sorted, neither overlapping nor touching
+        assert all(a <= b for a, b in rs)
+        assert all(b + 1 < c for (_, b), (c, _) in zip(rs, rs[1:]))
+
+
+def test_service_merges_overlapping_and_touching_runs():
+    svc = Service({"q": [(4, 6)], "p": [(3, 3), (0, 1), (1, 2), (7, 9), (8, 8)]})
+    assert svc.runs == {"p": ((0, 3), (7, 9)), "q": ((4, 6),)}
+    assert list(svc.runs) == ["p", "q"]
+    assert svc == Service.of([("p", k) for k in (0, 1, 2, 3, 7, 8, 9)] + [("q", 4), ("q", 5), ("q", 6)])
+    assert Service({"p": []}) == Service() == Service.of([])
+    with pytest.raises(InstanceError):
+        Service({"p": [(2, 1)]})
+    for copied in (pickle.loads(pickle.dumps(svc)), copy.deepcopy(svc)):
+        assert copied == svc and hash(copied) == hash(svc)
+
+
+@pytest.mark.parametrize("ordinal", [-1, 1, 2**40])
+def test_unknown_ordinals_fail_at_use_not_at_construction(ordinal):
+    inst = bare(5, [("p", 2, 1)], ["p", "p"])
+    run = (min(ordinal, 0), max(ordinal, 0))
+    for svc in (Service.of([("p", 0), ("p", ordinal)]), Service({"p": [run]})):
+        for use in (occupancy_profile, validate_service, savings):
+            with pytest.raises(UnknownGapError, match=f"ordinal {ordinal}"):
+                use(inst, svc)
+
+
+# Leading 16 hex digits of sha256 over the service text of every easy-direction
+# service below; the writer's output when a service was a frozenset of pairs.
+SERVICE_TEXT_DIGEST = "10080087ff7cc6a2"
+
+
+def test_service_text_pinned():
+    digest = hashlib.sha256()
+    for name in ("K2", "P3", "K3", "C4"):
+        graph = CORPUS[name]
+        _, mis = max_independent_set(graph)
+        for model, H in (("fault", 3), ("bit", 2), ("simple", None)):
+            out = generate(graph, model, H)
+            for w in (mis, frozenset()):
+                digest.update(service_to_text(construct_service_from_is(out, w)).encode())
+    assert digest.hexdigest()[:16] == SERVICE_TEXT_DIGEST
 
 
 # --- blocks -------------------------------------------------------------

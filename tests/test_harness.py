@@ -104,6 +104,9 @@ def test_run_corpus_simple_all_pass():
         "C5": 632,
         "K4": 751,
     }
+    # `simple` takes any valid H and uses 1.
+    with_h = run_corpus(["simple"], H=2)
+    assert [(r.H, r.optimal, r.verdict) for r in with_h] == [(1, r.optimal, r.verdict) for r in reports]
 
 
 def test_reports_to_csv_and_table():

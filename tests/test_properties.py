@@ -171,7 +171,7 @@ def test_constructed_service_hits_threshold_simple():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_constructed_service_needs_no_normalizing(name):
-    # construct_service_from_is builds its frozenset directly, without Service.of.
+    # construct_service_from_is writes one ordinal run per cached page, not pairs.
     graph = CORPUS[name]
     _, mis = max_independent_set(graph)
     for model, H in [("fault", 2), ("bit", 1), ("simple", None)]:
@@ -180,6 +180,8 @@ def test_constructed_service_needs_no_normalizing(name):
             svc = construct_service_from_is(out, w)
             assert svc == Service.of(list(svc.chosen))
             assert all(type(pid) is str and type(ordinal) is int for pid, ordinal in svc.chosen)
+            assert all(len(rs) == 1 for rs in svc.runs.values())
+            assert all(pid is out.instance.pages[pid].id for pid in svc.runs)
             assert savings(out.instance, svc) == out.threshold(len(w))
 
 

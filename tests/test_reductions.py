@@ -73,6 +73,36 @@ def test_graph_text_round_trip():
             graph_from_text(bad)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("2 1\n1 1\n", "line 2: self-loop at vertex 1"),
+        ("2 1\n0 5\n", r"line 2: edge \(0, 5\) out of range"),
+        ("3 2\n0 1\n\n1 0\n", r"line 4: duplicate edge \(0, 1\)"),
+    ],
+)
+def test_graph_errors_name_their_line(text, where):
+    with pytest.raises(FormatError, match=where):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "edges, what",
+    [
+        ("edge 1 1\n", "self-loop at vertex 1"),
+        ("edge 0 5\n", r"edge \(0, 5\) out of range"),
+        ("edge 0 1\nedge 1 0\n", r"duplicate edge \(0, 1\)"),
+    ],
+)
+def test_sidecar_edge_errors_name_their_line(edges, what):
+    text = reduction_to_text(reduce_fault_optional(K2, H=1))
+    graph_line = text.splitlines().index("graph 2 1") + 1
+    m = edges.count("\n")  # the bad edge is the last of the m edge lines
+    text = text.replace("graph 2 1\nedge 0 1\n", f"graph 2 {m}\n{edges}")
+    with pytest.raises(FormatError, match=f"line {graph_line + m}: {what}"):
+        reduction_from_text(text)
+
+
 # --- group count heuristic ----------------------------------------------------
 
 
@@ -336,6 +366,18 @@ def test_simple_counting_and_costs():
 def test_simple_optimum_frozen():
     assert solve_exact(reduce_simple(K2).instance).optimal_savings == 16
     assert solve_exact(reduce_simple(K3).instance).optimal_savings == 157
+
+
+@pytest.mark.parametrize("model", [MODEL_FAULT, MODEL_BIT, MODEL_SIMPLE])
+@pytest.mark.parametrize("H", [0, -1, True, False, 2.0, "x", {}])
+def test_generate_validates_H_in_every_model(model, H):
+    with pytest.raises(InstanceError, match="H must be a positive int"):
+        generate(K2, model, H)
+
+
+def test_simple_takes_any_valid_H_and_uses_1():
+    assert generate(K3, MODEL_SIMPLE, 5) == generate(K3, MODEL_SIMPLE) == reduce_simple(K3)
+    assert generate(K3, MODEL_SIMPLE, 5).H == 1
 
 
 # --- optional-to-forced transform ----------------------------------------------
