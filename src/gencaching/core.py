@@ -406,16 +406,6 @@ class Service:
             by_page.setdefault(str(p), []).append((k, k))
         return cls(by_page)
 
-    @property
-    def chosen(self) -> frozenset[tuple[str, int]]:
-        """The chosen gaps as (page, ordinal) pairs, made on access.
-
-        For callers that want one record per gap; the package reads `runs`.
-        """
-        return frozenset(
-            (pid, k) for pid, rs in self.runs.items() for first, last in rs for k in range(first, last + 1)
-        )
-
     def __len__(self) -> int:
         return sum(last - first + 1 for rs in self.runs.values() for first, last in rs)
 
@@ -504,13 +494,7 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     A request to page p at position t where p's chosen gaps do not cover t
     must satisfy size(p) + occupancy(t) <= capacity under `forced`.
     """
-    return _validate_runs(instance, merged_occupancy_runs(instance, service))
-
-
-def _validate_runs(
-    instance: Instance, runs: Mapping[str, list[tuple[int, int]]]
-) -> ValidationReport:
-    """`validate_service` on a service's merged occupancy runs."""
+    runs = merged_occupancy_runs(instance, service)
     profile = _occupancy(instance, runs)
     cap = instance.capacity
     capacity_violations = [t for t, load in enumerate(profile) if load > cap]

@@ -104,11 +104,7 @@ def round_trip(
         service = construct_service_from_is(output, max_set)
         optimal = savings(output.instance, service)
         k_caching = excess = None
-        ok = (
-            properties_ok
-            and validate_service(output.instance, service).ok
-            and optimal == output.threshold(k_oracle)
-        )
+        ok = properties_ok and optimal == output.threshold(k_oracle)
         verdict = "pass-easy-only" if ok else "fail-easy-only"
     else:
         optimal = result.optimal_savings

@@ -17,9 +17,9 @@ from .core import (
     BLOCK_PHASE,
     InvalidServiceError,
     Service,
-    _validate_runs,
     merged_occupancy_runs,
     request_positions,
+    validate_service,
 )
 from .reductions import (
     MODEL_BIT,
@@ -290,7 +290,6 @@ class BlockDiagnostics:
     """
 
     slots: int
-    block_starts: tuple[int, ...]
     s_edge: tuple[tuple[int, ...], ...]
     epsilon_edge: tuple[tuple[int, ...], ...]
     phi_edge: tuple[tuple[int, ...], ...]
@@ -339,9 +338,9 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
             raise MissingRolesError(
                 f"the role table does not hold groups 1..{output.H} of edge {j}"
             )
-    runs = merged_occupancy_runs(inst, service)
-    if not _validate_runs(inst, runs).ok:
+    if not validate_service(inst, service).ok:
         raise InvalidServiceError("diagnostics requires a valid service")
+    runs = merged_occupancy_runs(inst, service)
     d = len(inst.blocks)
     starts = [b.span[0] for b in inst.blocks]
     # Diff tables of s, epsilon and phi, each flat with m entries per block: a
@@ -376,7 +375,6 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
     )
     return BlockDiagnostics(
         slots=m * output.H,
-        block_starts=tuple(starts),
         s_edge=s_edge,
         epsilon_edge=eps_edge,
         phi_edge=phi_edge,

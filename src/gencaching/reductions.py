@@ -40,7 +40,7 @@ vertex pages at cost 1 and edge pages at cost n+1 (cost_scale n+1).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping
 
@@ -173,19 +173,13 @@ class PageRole:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """A generated instance together with the bindings back to the graph.
-
-    `anchors` maps anchor block id -> (edge index, group, quarter); it is
-    generation metadata, not serialized and excluded from equality.
-    """
+    """A generated instance together with the bindings back to the graph."""
 
     instance: Instance
     model: str
     graph: Graph
     H: int
     page_roles: Mapping[str, PageRole]
-    phase_order: tuple[int, ...]
-    anchors: Mapping[int, tuple[int, int, int]] = field(default_factory=dict, compare=False)
 
     @property
     def d(self) -> int:
@@ -215,11 +209,10 @@ def edge_page_id(edge: int, group: int, role: str) -> str:
 def _skeleton(graph: Graph, H: int):
     """The original blocks, before the `bit` weave, and the vertex requests.
 
-    Returns (meta, block_pages, anchors, before, after): per block its
-    (kind, vertex, slot) triple and its page ids in request order; the anchor
-    map, block id -> (edge, group, quarter); and the vertex pages requested
-    outside all blocks right before (a list) and right after (one page) a
-    block, keyed by block id.
+    Returns (meta, block_pages, before, after): per block its (kind, vertex,
+    slot) triple and its page ids in request order; and the vertex pages
+    requested outside all blocks right before (a list) and right after (one
+    page) a block, keyed by block id.
     """
     meta: list[tuple[str, int | None, int | None]] = [(BLOCK_INITIAL, None, None)]
     anchors: dict[int, tuple[int, int, int]] = {}
@@ -286,7 +279,7 @@ def _skeleton(graph: Graph, H: int):
         [pid for j in range(graph.m) for pid in edge_section(j, bid)]
         for bid in range(len(meta))
     ]
-    return meta, block_pages, anchors, before, after
+    return meta, block_pages, before, after
 
 
 def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
@@ -318,11 +311,10 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
                 table[pid] = Page(pid, size, size if model == MODEL_BIT else scale)
                 roles[pid] = PageRole(role, edge=j, group=i)
 
-    meta, block_pages, anchor_map, before, after = _skeleton(graph, H)
+    meta, block_pages, before, after = _skeleton(graph, H)
     blocks: list[tuple[str, int | None, int | None]] = []
     request_pages: list[str] = []
     request_blocks = array("i")
-    anchors: dict[int, tuple[int, int, int]] = {}
 
     def emit(pids, block: int) -> None:
         request_pages.extend(pids)
@@ -340,8 +332,6 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
                 emit(content, len(blocks))
                 blocks.append((BLOCK_INSERTED, None, slot))
         emit([table[p].id for p in before.get(k, ())], -1)
-        if k in anchor_map:
-            anchors[len(blocks)] = anchor_map[k]
         emit(row, len(blocks))
         blocks.append(meta[k])
         if k in after:
@@ -350,7 +340,7 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     instance = _from_columns(
         2 * graph.m * H + 1, table, request_pages, request_blocks, blocks, OPTIONAL, scale
     )
-    return ReductionOutput(instance, model, graph, H, roles, tuple(range(graph.n)), anchors)
+    return ReductionOutput(instance, model, graph, H, roles)
 
 
 def reduce_fault_optional(graph: Graph, H: int | None = None) -> ReductionOutput:
@@ -406,7 +396,7 @@ def reduction_to_text(output: ReductionOutput) -> str:
     lines.append(f"graph {output.graph.n} {output.graph.m}")
     for u, v in output.graph.edges:
         lines.append(f"edge {u} {v}")
-    lines.append(("phases " + " ".join(str(v) for v in output.phase_order)).rstrip())
+    lines.append(" ".join(["phases"] + [str(v) for v in range(output.graph.n)]))
     lines.append(f"roles {len(output.page_roles)}")
     for pid, role in output.page_roles.items():
         dash = "-"
@@ -432,9 +422,8 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
     n = r.integer(n_token, "n")
     seen: set[tuple[int, int]] = set()
     edges = [_read_edge(r, *r.keyword("edge", 2), n, seen) for _ in range(r.integer(m_token, "m"))]
-    phase_order = tuple(r.integer(v, "vertex") for v in r.keyword("phases", n))
-    if sorted(phase_order) != list(range(n)):
-        raise r.error(f"phases must list each of the {n} vertices once")
+    if r.keyword("phases", n) != [str(v) for v in range(n)]:
+        raise r.error(f"phases must read 0..{n - 1}, the vertices in order")
     roles: dict[str, PageRole] = {}
     shape = "<page-id> <role> <edge|-> <group|-> <vertex|->"
     for pid, role, *fields in r.rows(r.value("roles"), 5, shape):
@@ -445,7 +434,7 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
         edge, group, vertex = [None if t == "-" else r.integer(t, "role field") for t in fields]
         roles[pid] = PageRole(role, edge, group, vertex)
     r.end("roles section")
-    return ReductionOutput(instance, model, Graph(n, tuple(edges)), H, roles, phase_order)
+    return ReductionOutput(instance, model, Graph(n, tuple(edges)), H, roles)
 
 
 def reduction_from_text(text: str) -> ReductionOutput:

@@ -372,10 +372,10 @@ def solve_brute_force(instance: Instance) -> SolveResult:
     (gaps ordered by page id, then ordinal).  `states` counts the subsets
     and `transitions` the valid ones.
     """
-    gaps = enumerate_gaps(instance)
-    g = len(gaps)
+    g = sum(len(p) - 1 for p in request_positions(instance).values())
     if g > BRUTE_FORCE_GAP_GUARD:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
+    gaps = enumerate_gaps(instance)
     best = best_mask = -1
     valid = 0
     for mask, value in _feasible_subsets(instance, gaps):

@@ -12,9 +12,10 @@ from gencaching import (
     ReductionOutput,
     make_instance,
     reduce_fault_optional,
+    request_positions,
     vertex_page_id,
 )
-from gencaching.reductions import ROLE_LEAD_IN, edge_page_id
+from gencaching.reductions import ROLE_LEAD_IN, ROLE_WIDE_BACK, ROLE_WIDE_FRONT, edge_page_id
 
 
 def base_output() -> ReductionOutput:
@@ -22,10 +23,11 @@ def base_output() -> ReductionOutput:
 
 
 def _anchor(output: ReductionOutput, edge: int, group: int, quarter: int) -> int:
-    for bid, key in output.anchors.items():
-        if key == (edge, group, quarter):
-            return bid
-    raise LookupError((edge, group, quarter))
+    """The anchor block of (edge, group, quarter): where the group's wide_front
+    (quarters 1, 2) or wide_back (3, 4) page is first (odd) or last (even) requested."""
+    wide = edge_page_id(edge, group, ROLE_WIDE_FRONT if quarter <= 2 else ROLE_WIDE_BACK)
+    positions = request_positions(output.instance)[wide]
+    return output.instance.request_blocks[positions[0] if quarter % 2 else positions[-1]]
 
 
 def _rebuild(output: ReductionOutput, pairs: list[tuple[str, int | None]]) -> ReductionOutput:
@@ -44,8 +46,6 @@ def _rebuild(output: ReductionOutput, pairs: list[tuple[str, int | None]]) -> Re
         graph=output.graph,
         H=output.H,
         page_roles=output.page_roles,
-        phase_order=output.phase_order,
-        anchors=output.anchors,
     )
 
 

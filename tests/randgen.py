@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import random
 
-from gencaching import FORCED, Instance, OPTIONAL, make_instance
+from gencaching import FORCED, Instance, OPTIONAL, Service, make_instance
 
 MAX_ORACLE_GAPS = 13  # keeps the brute-force oracle fast
+
+
+def gap_pairs(service: Service) -> set[tuple[str, int]]:
+    """The chosen gaps of `service` as (page, ordinal) pairs."""
+    return {(pid, k) for pid, rs in service.runs.items() for first, last in rs for k in range(first, last + 1)}
 
 
 def random_tiny_instance(

@@ -41,7 +41,7 @@ from gencaching import (
     validate_service,
 )
 from mutations import MUTATIONS, base_output
-from randgen import random_tiny_instance
+from randgen import gap_pairs, random_tiny_instance
 
 SIMPLE_SET = ("K2", "P3", "K3", "P4", "K1_3", "C4")
 SIMPLE_EXPECTED = {"K2": 16, "P3": 74, "K3": 157, "P4": 197, "K1_3": 198, "C4": 342}
@@ -197,9 +197,9 @@ def test_criterion_4_easy_direction_bit():
         # Per-gap audit: a cached size-2 page crosses each original boundary
         # through 3 gaps costing 2; a size-3 page through 2 gaps costing 3.
         for name, H in GRID:
-            fault_counts = Counter(p for p, _ in _easy_service("fault", name, H).chosen)
+            fault_counts = Counter(p for p, _ in gap_pairs(_easy_service("fault", name, H)))
             bit = _grid_output("bit", name, H)
-            bit_counts = Counter(p for p, _ in _easy_service("bit", name, H).chosen)
+            bit_counts = Counter(p for p, _ in gap_pairs(_easy_service("bit", name, H)))
             for pid in set(fault_counts) | set(bit_counts):
                 page = bit.instance.pages[pid]
                 if page.size == 1:

@@ -51,6 +51,7 @@ from gencaching import (
     solve_exact,
     validate_service,
 )
+from randgen import gap_pairs
 
 
 def bare(capacity, pages, reqs, policy=OPTIONAL, scale=1):
@@ -348,7 +349,7 @@ def test_service_of_ignores_order_and_duplicates(pairs, rng):
     rng.shuffle(shuffled)
     again = Service.of(shuffled)
     assert again == svc and hash(again) == hash(svc)
-    assert svc.chosen == set(pairs) and len(svc) == len(set(pairs))
+    assert gap_pairs(svc) == set(pairs) and len(svc) == len(set(pairs))
     # The text is the sorted pairs, one per line, as when a service was a pair set.
     assert service_to_text(svc) == "".join(
         f"{line}\n" for line in ["service 1"] + [f"{p} {k}" for p, k in sorted(set(pairs))]
@@ -546,8 +547,8 @@ def test_validity_is_monotone_under_gap_removal(pair):
     inst, svc = pair
     if not validate_service(inst, svc).ok:
         return
-    for dropped in svc.chosen:
-        smaller = Service.of(svc.chosen - {dropped})
+    for dropped in gap_pairs(svc):
+        smaller = Service.of(gap_pairs(svc) - {dropped})
         assert validate_service(inst, smaller).ok
 
 

@@ -32,6 +32,7 @@ from gencaching import (
     vertex_page_id,
 )
 from mutations import MUTATIONS, base_output, repeat_in_last_block
+from randgen import gap_pairs
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))
 K2 = Graph(2, ((0, 1),))
@@ -117,8 +118,6 @@ def test_missing_roles_detected():
         graph=out.graph,
         H=out.H,
         page_roles=stripped,
-        phase_order=out.phase_order,
-        anchors=out.anchors,
     )
     with pytest.raises(MissingRolesError):
         check_properties(broken)
@@ -178,8 +177,8 @@ def test_constructed_service_needs_no_normalizing(name):
         out = generate(graph, model, H)
         for w in (mis, frozenset()):
             svc = construct_service_from_is(out, w)
-            assert svc == Service.of(list(svc.chosen))
-            assert all(type(pid) is str and type(ordinal) is int for pid, ordinal in svc.chosen)
+            assert svc == Service.of(list(gap_pairs(svc)))
+            assert all(type(pid) is str and type(ordinal) is int for pid, ordinal in gap_pairs(svc))
             assert all(len(rs) == 1 for rs in svc.runs.values())
             assert all(pid is out.instance.pages[pid].id for pid in svc.runs)
             assert savings(out.instance, svc) == out.threshold(len(w))
@@ -204,7 +203,7 @@ def test_extract_ignores_edge_page_gaps():
     out = reduce_fault_optional(K2, H=1)
     svc = construct_service_from_is(out, frozenset({1}))
     edge_only = Service.of(
-        (p, k) for p, k in svc.chosen if not p.startswith("v")
+        (p, k) for p, k in gap_pairs(svc) if not p.startswith("v")
     )
     assert extract_is(out, edge_only) == frozenset()
 

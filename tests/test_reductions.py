@@ -484,6 +484,9 @@ def test_reduction_text_rejects_apocrypha():
         reduction_from_text(text.replace("e0.1.lead_in lead_in", "e0.1.lead_in lead_up"))
     with pytest.raises(FormatError):
         reduction_from_text(text.replace("phases 0 1", "phases 0 0 7"))
+    line = text.splitlines().index("phases 0 1") + 1
+    with pytest.raises(FormatError, match=f"^line {line}: phases must read 0..1"):
+        reduction_from_text(text.replace("phases 0 1", "phases 1 0"))
     for h in ["0", "-3"]:
         with pytest.raises(FormatError):
             reduction_from_text(text.replace("\nH 1\n", f"\nH {h}\n"))

@@ -31,6 +31,7 @@ from gencaching import (
     optional_to_forced,
     packing_to_text,
     reduce_bit_optional,
+    request_positions,
     savings,
     solve_brute_force,
     solve_exact,
@@ -44,7 +45,7 @@ from gencaching.solver import (
     _solve_dense,
     _solve_dict,
 )
-from randgen import random_tiny_instance
+from randgen import gap_pairs, random_tiny_instance
 
 
 def bare(capacity, pages, reqs, policy=OPTIONAL):
@@ -140,6 +141,21 @@ def test_brute_force_gap_guard(monkeypatch):
         solve_brute_force(small)
     monkeypatch.setattr(solver, "BRUTE_FORCE_GAP_GUARD", 5)
     assert solve_brute_force(small).optimal_savings == 5
+
+
+def test_brute_force_refuses_before_building_its_gaps():
+    # Counting the gaps from the request index allocates nothing per gap;
+    # building the 9,699 gaps first took about 1.1 MiB.
+    inst = generate(CORPUS["K3"], "bit", 8).instance
+    request_positions(inst)  # the index is the instance's, built once for every caller
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^9699 gaps "):
+            solve_brute_force(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # --- randomized agreement ---------------------------------------------------
@@ -289,7 +305,7 @@ def test_brute_force_results_pinned(policy):
         result = solve_brute_force(random_tiny_instance(rng, policy))
         row = (
             result.optimal_savings,
-            sorted(result.witness.chosen),
+            sorted(gap_pairs(result.witness)),
             result.explored.states,
             result.explored.transitions,
         )
