@@ -22,8 +22,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby, repeat
-from types import MappingProxyType
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -183,6 +182,30 @@ def _compute_spans(request_blocks: array, num_blocks: int) -> list[tuple[int, in
     return spans
 
 
+class _PositionIndex(Mapping[str, array]):
+    """A read-only page -> positions index.
+
+    A page requested once is stored as its bare position and read as a
+    one-element `array('i')`, so the fresh pages of a forced instance cost
+    no array each.
+    """
+
+    __slots__ = ("_by_page",)
+
+    def __init__(self, by_page: dict[str, int | array]) -> None:
+        self._by_page = by_page
+
+    def __getitem__(self, pid: str) -> array:
+        pos = self._by_page[pid]
+        return array("i", (pos,)) if type(pos) is int else pos
+
+    def __len__(self) -> int:
+        return len(self._by_page)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._by_page)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A general caching instance.
@@ -266,19 +289,16 @@ class Instance:
     @cached_property
     def _positions(self) -> Mapping[str, array]:
         """Read-only page -> positions index, built on first use (see `request_positions`)."""
-        by_page: dict[str, array] = {}
+        by_page: dict[str, int | array] = {}
         for t, pid in enumerate(self.request_pages):
             pos = by_page.get(pid)
             if pos is None:
-                by_page[pid] = pos = array("i")
-            pos.append(t)
-        return MappingProxyType(by_page)
-
-    def __getstate__(self) -> dict:
-        # A mappingproxy cannot be pickled or deep-copied; a copy rebuilds the index on first use.
-        state = self.__dict__.copy()
-        state.pop("_positions", None)
-        return state
+                by_page[pid] = t
+            elif type(pos) is int:
+                by_page[pid] = array("i", (pos, t))
+            else:
+                pos.append(t)
+        return _PositionIndex(by_page)
 
     def __repr__(self) -> str:  # the default would dump every request
         return (
@@ -419,9 +439,10 @@ class Service:
 def request_positions(instance: Instance) -> Mapping[str, array]:
     """Positions of each requested page, in request order; pages in first-request order.
 
-    Each page's positions are an `array('i')`.  The index is built once per
-    instance and shared by every caller, so neither it nor its arrays may be
-    modified.
+    Each page's positions are an `array('i')`; a page requested once is
+    stored as its position and read as a new one-element array.  The index
+    is built once per instance and shared by every caller, so neither it nor
+    its arrays may be modified.
     """
     return instance._positions
 
@@ -462,21 +483,30 @@ def merged_occupancy_runs(
     return runs
 
 
-def _occupancy(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> list[int]:
-    """Total cached size at every position, from the merged runs."""
-    diff = [0] * (instance.num_requests + 1)
+def _load_steps(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> Sequence[int]:
+    """The change of the total cached size at every position, from the merged
+    runs: the load at t is the sum of entries 0..t (`accumulate`).
+
+    An `array('i')`, 4 bytes per position, which callers sum as they read
+    it, so no list of loads is built; a list when the cached pages' sizes
+    sum past its range.
+    """
+    pages = instance.pages
+    n = instance.num_requests
+    fits = sum(pages[pid].size for pid in runs) < 2**31
+    diff = array("i", [0]) * (n + 1) if fits else [0] * (n + 1)
     for pid, rs in runs.items():
-        size = instance.pages[pid].size
+        size = pages[pid].size
         for s, e in rs:
             diff[s] += size
             diff[e + 1] -= size
     diff.pop()  # the slot past the last position
-    return list(accumulate(diff))
+    return diff
 
 
 def occupancy_profile(instance: Instance, service: Service) -> list[int]:
     """Total cached size at every position (length = number of requests)."""
-    return _occupancy(instance, merged_occupancy_runs(instance, service))
+    return list(accumulate(_load_steps(instance, merged_occupancy_runs(instance, service))))
 
 
 @dataclass(frozen=True)
@@ -495,14 +525,16 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     must satisfy size(p) + occupancy(t) <= capacity under `forced`.
     """
     runs = merged_occupancy_runs(instance, service)
-    profile = _occupancy(instance, runs)
+    steps = _load_steps(instance, runs)
     cap = instance.capacity
-    capacity_violations = [t for t, load in enumerate(profile) if load > cap]
+    capacity_violations: list[int] = []
+    if max(accumulate(steps), default=0) > cap:
+        capacity_violations = [t for t, load in enumerate(accumulate(steps)) if load > cap]
     forced_violations: list[int] = []
     if instance.policy == FORCED:
         pages = instance.pages
         cursor: dict[str, int] = {}
-        for t, pid in enumerate(instance.request_pages):
+        for t, (pid, load) in enumerate(zip(instance.request_pages, accumulate(steps))):
             rs = runs.get(pid)
             covered = False
             if rs:
@@ -511,7 +543,7 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
                     i += 1
                 cursor[pid] = i
                 covered = i < len(rs) and rs[i][0] <= t <= rs[i][1]
-            if not covered and pages[pid].size + profile[t] > cap:
+            if not covered and pages[pid].size + load > cap:
                 forced_violations.append(t)
     ok = not capacity_violations and not forced_violations
     return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))
@@ -581,6 +613,10 @@ def instance_to_text(instance: Instance) -> str:
     return "".join(_instance_text_parts(instance))
 
 
+# The reader splits the text this many characters at a time (see _LineReader).
+_CHUNK = 1 << 16
+
+
 class _LineReader:
     """A strict cursor over the lines of a text artifact; every parser reads through one.
 
@@ -588,11 +624,30 @@ class _LineReader:
     digits, and every error names the line's number in the original text.
     `lineno` is the number of the last line read, which is also the index of
     the next one.
+
+    The text is split into lines one chunk at a time, so a parser holds the
+    lines of one chunk of about `_CHUNK` characters, never those of the whole
+    text.  A chunk ends right after a "\n", which ends a line in every
+    reading, so the lines and their numbers are those of `text.splitlines()`.
     """
 
     def __init__(self, text: str) -> None:
-        self._lines = text.splitlines()
+        self._text = text
+        self._cut = 0  # where the next chunk begins in the text
+        self._lines: list[str] = []  # the current chunk's lines
+        self._base = 0  # the number of lines before the current chunk
         self.lineno = 0
+
+    def _next_chunk(self) -> bool:
+        """Move to the next chunk's lines; false when the text is used up."""
+        text, cut = self._text, self._cut
+        if cut == len(text):
+            return False
+        end = text.find("\n", cut + _CHUNK - 1) + 1 or len(text)
+        self._base += len(self._lines)
+        self._lines = text[cut:end].splitlines()
+        self._cut = end
+        return True
 
     def error(self, message: str) -> FormatError:
         return FormatError(f"line {self.lineno}: {message}")
@@ -604,16 +659,20 @@ class _LineReader:
 
     def at_end(self) -> bool:
         """Skip blank lines; true when nothing else is left."""
-        lines = self._lines
-        while self.lineno < len(lines) and not lines[self.lineno].strip():
-            self.lineno += 1
-        return self.lineno == len(lines)
+        while True:
+            lines, base = self._lines, self._base
+            while self.lineno - base < len(lines):
+                if lines[self.lineno - base].strip():
+                    return False
+                self.lineno += 1
+            if not self._next_chunk():
+                return True
 
     def keyword(self, name: str, argc: int) -> list[str]:
         """The `argc` arguments of the next line, which must read `name arg...`."""
         if self.at_end():
             raise FormatError(f"unexpected end of input, expected '{name} ...'")
-        parts = self._lines[self.lineno].split()
+        parts = self._lines[self.lineno - self._base].split()
         self.lineno += 1
         if parts[0] != name or len(parts) != argc + 1:
             raise self.error(f"expected '{name}' with {argc} argument(s), got {' '.join(parts)!r}")
@@ -637,23 +696,23 @@ class _LineReader:
         `reduction_from_text` 1.2-1.4x slower.
         """
         allowed = (fields,) if isinstance(fields, int) else fields
-        lines = self._lines
-        i = self.lineno
-        for _ in repeat(None) if count is None else range(count):
-            while i < len(lines):
-                parts = lines[i].split()
-                i += 1
-                if parts:
-                    break
-            else:
-                self.lineno = i
+        left = -1 if count is None else count  # -1 counts down without reaching 0
+        while left:
+            for line in self._lines[self.lineno - self._base :]:
+                self.lineno += 1
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) not in allowed:
+                    raise self.error(f"expected '{shape}', got {' '.join(parts)!r}")
+                yield parts
+                left -= 1
+                if not left:
+                    return
+            if not self._next_chunk():
                 if count is None:
                     return
                 raise FormatError(f"unexpected end of input, expected '{shape}'")
-            self.lineno = i
-            if len(parts) not in allowed:
-                raise self.error(f"expected '{shape}', got {' '.join(parts)!r}")
-            yield parts
 
     def end(self, what: str) -> None:
         if not self.at_end():

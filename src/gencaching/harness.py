@@ -9,7 +9,8 @@ sandwich threshold(K_oracle) <= optimal <= threshold(0) + n instead.  Every
 solved row reports its excess, optimal - threshold(K_oracle): the saving an
 optimum finds beyond the one the independent set encodes.  When
 the exact solve exceeds its state budget the run downgrades to constructing
-and validating the easy-direction service (verdict suffix `-easy-only`).
+and validating the easy-direction service (verdict suffix `-easy-only`); an
+invalid service makes a `fail-easy-only` row with no savings (`optimal` None).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import savings, validate_service
+from .core import InvalidServiceError, savings, validate_service
 from .properties import check_properties, construct_service_from_is, extract_is
 from .reductions import Graph, MODEL_SIMPLE, generate
 from .solver import BudgetExceeded, solve_exact
@@ -77,7 +78,7 @@ class RoundTripReport:
     H: int
     capacity: int
     d: int
-    optimal: int
+    optimal: int | None
     k_caching: int | None
     k_oracle: int
     excess: int | None
@@ -102,8 +103,11 @@ def round_trip(
         result = solve_exact(output.instance, budget=budget)
     except BudgetExceeded:
         service = construct_service_from_is(output, max_set)
-        optimal = savings(output.instance, service)
         k_caching = excess = None
+        try:
+            optimal = savings(output.instance, service)
+        except InvalidServiceError:
+            optimal = None
         ok = properties_ok and optimal == output.threshold(k_oracle)
         verdict = "pass-easy-only" if ok else "fail-easy-only"
     else:
@@ -171,7 +175,7 @@ def _report_row(report: RoundTripReport) -> list[str]:
         str(report.H),
         str(report.capacity),
         str(report.d),
-        str(report.optimal),
+        "-" if report.optimal is None else str(report.optimal),
         "-" if report.k_caching is None else str(report.k_caching),
         str(report.k_oracle),
         report.verdict,

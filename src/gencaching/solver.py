@@ -35,6 +35,8 @@ int operations instead of a call to the core validator.
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Sequence
@@ -109,7 +111,7 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
     keep it, and its last request frees it, so each request touches at most
     one slot bit and the slot count is the most gaps open at one boundary.
     """
-    pos = request_positions(instance)
+    counts = Counter(instance.request_pages)
     seen: dict[str, int] = {}
     slot_of: dict[str, int] = {}
     free: list[int] = []
@@ -118,7 +120,7 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
     for page in instance.request_pages:
         i = seen.get(page, 0)
         seen[page] = i + 1
-        more = i + 1 < len(pos[page])
+        more = i + 1 < counts[page]
         if i:
             slot = slot_of[page]
             if not more:
@@ -372,7 +374,8 @@ def solve_brute_force(instance: Instance) -> SolveResult:
     (gaps ordered by page id, then ordinal).  `states` counts the subsets
     and `transitions` the valid ones.
     """
-    g = sum(len(p) - 1 for p in request_positions(instance).values())
+    # Every request but a page's first ends one gap.
+    g = instance.num_requests - len(request_positions(instance))
     if g > BRUTE_FORCE_GAP_GUARD:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
     gaps = enumerate_gaps(instance)
@@ -461,24 +464,55 @@ def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple
                 yield mask, value
 
 
+class _Intervals(Sequence[tuple[int, int, int, int]]):
+    """A packing's four columns seen as (start, end, weight, value) tuples, each made on access."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[array, array, array, array]) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*(column[index] for column in self._columns)))
+        return tuple(column[index] for column in self._columns)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        return zip(*self._columns)
+
+
 @dataclass(frozen=True)
 class IntervalPackingInstance:
     """Weighted intervals with per-point weight limit `limit`.
 
-    Each interval is (start, end, weight, value) carrying a gap's span
-    endpoints verbatim; feasibility is evaluated over the half-open range
-    [start, end).  With that reading the feasible interval sets are exactly
-    the valid services of the source instance (two adjacent gaps of one page
-    share an endpoint but are one cached copy, which the closed reading would
-    double-count), so the maximum total value equals the optimal savings.
+    Interval i spans `starts[i]`..`ends[i]`, a gap's span endpoints verbatim,
+    with weight `sizes[i]` and value `costs[i]`; the four columns are arrays
+    (positions `'i'`, sizes and costs `'q'`).  Feasibility is evaluated over
+    the half-open range [start, end).  With that reading the feasible
+    interval sets are exactly the valid services of the source instance (two
+    adjacent gaps of one page share an endpoint but are one cached copy,
+    which the closed reading would double-count), so the maximum total value
+    equals the optimal savings.
     """
 
     limit: int
-    intervals: tuple[tuple[int, int, int, int], ...]
+    starts: array
+    ends: array
+    sizes: array
+    costs: array
+
+    @property
+    def intervals(self) -> Sequence[tuple[int, int, int, int]]:
+        """The intervals as (start, end, weight, value) tuples, made on access."""
+        return _Intervals((self.starts, self.ends, self.sizes, self.costs))
 
 
 def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
-    """One interval per gap: weight = page size, value = fault cost.
+    """One interval per gap, in (page id, ordinal) order: weight = page size,
+    value = fault cost.
 
     Defined for the optional policy only; the forced momentary-fit rule has no
     packing counterpart.
@@ -487,16 +521,17 @@ def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
         raise UnsupportedPolicyError("interval packing export requires the optional policy")
     pages = instance.pages
     pos = request_positions(instance)
-    intervals: list[tuple[int, int, int, int]] = []
+    starts, ends, sizes, costs = array("i"), array("i"), array("q"), array("q")
     for pid in sorted(pos):
-        p = pos[pid].tolist()  # one int per position, shared by the gaps it bounds
-        size, cost = pages[pid].size, pages[pid].cost
-        intervals.extend((s, e, size, cost) for s, e in zip(p, p[1:]))
-    return IntervalPackingInstance(instance.capacity, tuple(intervals))
+        p = pos[pid]
+        starts += p[:-1]
+        ends += p[1:]
+        sizes += array("q", (pages[pid].size,)) * (len(p) - 1)
+        costs += array("q", (pages[pid].cost,)) * (len(p) - 1)
+    return IntervalPackingInstance(instance.capacity, starts, ends, sizes, costs)
 
 
 def packing_to_text(packing: IntervalPackingInstance) -> str:
     lines = ["interval-packing 1", f"limit {packing.limit}"]
-    for start, end, weight, value in packing.intervals:
-        lines.append(f"{start} {end} {weight} {value}")
+    lines += map("{} {} {} {}".format, packing.starts, packing.ends, packing.sizes, packing.costs)
     return "\n".join(lines) + "\n"

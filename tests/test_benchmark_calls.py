@@ -44,7 +44,7 @@ def _failures(items) -> list[dict]:
     "workload, body, case_ids",
     [
         ("roundtrip-grid", "run_roundtrip", ["roundtrip:K2:simple", "roundtrip:K3:fault:H1:forced"]),
-        ("easy-bigH", "run_easy", ["easy:K2:fault", "easy:K2:bit"]),
+        ("easy-bigH", "run_easy", ["easy:K2:fault", "easy:K2:bit", "easy:P3:fault"]),
     ],
 )
 def test_graph_cases_pass(workload, body, case_ids):

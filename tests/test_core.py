@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencaching import core
 from gencaching import (
     CORPUS,
     FORCED,
@@ -33,6 +34,7 @@ from gencaching import (
     UnknownGapError,
     construct_service_from_is,
     enumerate_gaps,
+    export_interval_packing,
     generate,
     graph_from_text,
     graph_to_text,
@@ -92,6 +94,8 @@ def test_request_index_is_shared_and_read_only():
     with pytest.raises(TypeError):
         index["c"] = (0,)
     assert {pid: tuple(pos) for pid, pos in index.items()} == {"b": (0, 2), "a": (1,)}
+    # "a" is requested once: stored as its position, read as an array.
+    assert index["a"] == array("i", [1]) and "a" in index and index.get("c") is None
     for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert copied == inst and request_positions(copied) == index
 
@@ -226,6 +230,58 @@ def test_constructed_service_takes_a_few_bytes_per_gap():
     assert retained / len(svc) < 4
 
 
+def _peak(build):
+    """What `build()` returns, and the most bytes it had allocated at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_reduction_peaks_a_few_bytes_per_request():
+    # The reader splits one chunk of the text at a time; splitting the whole
+    # text at once peaked at about 126 bytes per request.
+    out = generate(CORPUS["K3"], "bit", 8)
+    text = reduction_to_text(out)
+    back, peak = _peak(lambda: reduction_from_text(text))
+    assert back == out
+    assert peak / out.instance.num_requests < 90
+
+
+def test_validating_a_service_peaks_a_few_bytes_per_request():
+    # The loads are summed from one array of load steps as they are read; a
+    # list of steps and a list of loads peaked at about 18 bytes per request.
+    out = generate(CORPUS["K3"], "bit", 8)
+    svc = construct_service_from_is(out, [0])  # builds the request index, as in the pipeline
+    report, peak = _peak(lambda: validate_service(out.instance, svc))
+    assert report.ok
+    assert peak / out.instance.num_requests < 12
+
+
+def test_packing_takes_a_few_bytes_per_gap():
+    # Four array columns; one (start, end, size, cost) tuple per gap took
+    # about 112 bytes.
+    inst = generate(CORPUS["K3"], "bit", 8).instance
+    request_positions(inst)
+    packing, retained = _retained(lambda: export_interval_packing(inst))
+    assert len(packing.intervals) == 9699
+    assert retained / len(packing.intervals) < 32
+
+
+def test_forced_index_stores_a_fresh_page_as_its_position():
+    # Each fresh page of a forced instance is requested once; one array per
+    # fresh page took about 135 bytes.
+    out = generate(CORPUS["K3"], "bit", 8)
+    forced = optional_to_forced(out)
+    index, retained = _retained(lambda: request_positions(forced))
+    fresh = out.instance.num_requests
+    assert len(index) == len(out.instance.pages) + fresh
+    assert retained / fresh < 96
+
+
 # --- garbage collector ----------------------------------------------------
 
 _FAILING_BUILDS = {
@@ -291,6 +347,14 @@ def test_capacity_violations_report_positions():
     assert not report.ok
     assert report.capacity_violations == (1, 2)
     assert report.forced_violations == ()
+
+
+@pytest.mark.parametrize("size", [2**30, 2**31, 2**40])
+def test_occupancy_holds_sizes_past_32_bits(size):
+    inst = bare(size, [("p", size, 1), ("q", size, 1)], ["p", "q", "p", "q"])
+    svc = Service.of([("p", 0), ("q", 0)])
+    assert occupancy_profile(inst, svc) == [size, 2 * size, 2 * size, size]
+    assert validate_service(inst, svc).capacity_violations == (1, 2)
 
 
 def test_optional_policy_allows_uncovered_requests():
@@ -524,6 +588,58 @@ def test_malformed_service_text_rejected():
     ]:
         with pytest.raises(FormatError, match=where):
             service_from_text(text)
+
+
+def _parsed(parse, text):
+    """("ok", value) or ("error", message): what `parse(text)` gives."""
+    try:
+        return "ok", parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def _reader_texts():
+    """(parser, text) pairs: each format as written, with other line ends and
+    blank-line runs, and broken in a row, cut short and extended."""
+    out = generate(CORPUS["K2"], "fault", 1)
+    written = [
+        (instance_from_text, instance_to_text(out.instance)),
+        (service_from_text, service_to_text(construct_service_from_is(out, [0]))),
+        (graph_from_text, graph_to_text(CORPUS["C5"])),
+        (reduction_from_text, reduction_to_text(out)),
+    ]
+    for parse, text in written:
+        lines = text.splitlines()
+        blanks = "".join(
+            line + ("\n \r\n\n\t\n" if i % 3 else "\r\n") for i, line in enumerate(lines)
+        )
+        variants = [text, "\r\n".join(lines) + "\r\n", "\r".join(lines), blanks]
+        variants += [text[:-3], text + "\n\n7\n"]  # cut short, content after the end
+        for i in (1, len(lines) // 2, len(lines) - 1):  # one row with a field too many
+            broken = lines[:i] + [lines[i] + " 7"] + lines[i + 1 :]
+            variants += [end.join(broken) + end for end in ("\n", "\r\n")]
+        yield from ((parse, v) for v in variants)
+
+
+@pytest.mark.parametrize("chunk", range(1, 17))
+def test_reader_chunk_size_changes_nothing(monkeypatch, chunk):
+    texts = list(_reader_texts())
+    want = [_parsed(parse, text) for parse, text in texts]
+    assert {kind for kind, _ in want} == {"ok", "error"}
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    assert [_parsed(parse, text) for parse, text in texts] == want
+
+
+def test_reader_names_a_line_far_past_the_first_chunk():
+    text = reduction_to_text(generate(CORPUS["K3"], "bit", 8))
+    assert len(text) > 2 * core._CHUNK
+    lines = text.splitlines()
+    i = lines.index("model bit") - 5  # a request row near the end of the section
+    lines[i] += " 7"
+    with pytest.raises(FormatError, match=f"^line {i + 1}: expected '<page-id> <block"):
+        reduction_from_text("\n".join(lines))
+    with pytest.raises(FormatError, match=f"^line {2 * i + 1}: expected '<page-id> <block"):
+        reduction_from_text("\r\n\n".join(lines))
 
 
 # --- property-based invariants -------------------------------------------

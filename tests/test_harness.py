@@ -23,8 +23,10 @@ from gencaching import (
     reports_to_table,
     round_trip,
     run_corpus,
+    Service,
     savings,
 )
+from gencaching import harness
 from gencaching.harness import MAX_ORACLE_VERTICES, REPORT_COLUMNS
 from gencaching.solver import _slot_plan, _solve_dense, _solve_dict
 
@@ -85,6 +87,20 @@ def test_round_trip_downgrades_to_easy_direction_on_budget():
     # d = 4*3*3 + 2; the easy-direction service still earns the threshold.
     assert report.d == 38
     assert report.optimal == 37 * 3 * 3 + 1
+
+
+def test_invalid_easy_direction_service_is_a_failed_row(monkeypatch):
+    def edge_gap_zero(output, selected):
+        # Gap 0 of every edge page: the edges' pages overfill the cache.
+        roles = output.page_roles
+        return Service({pid: ((0, 0),) for pid, role in roles.items() if role.edge is not None})
+
+    monkeypatch.setattr(harness, "construct_service_from_is", edge_gap_zero)
+    report = round_trip(CORPUS["K2"], "fault", 1, budget=1, graph_id="K2")
+    assert report.verdict == "fail-easy-only"
+    assert report.optimal is None and report.k_caching is None
+    row = reports_to_csv([report]).splitlines()[1].split(",")
+    assert (row[5], row[8]) == ("-", "fail-easy-only")
 
 
 def test_run_corpus_simple_all_pass():

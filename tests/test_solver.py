@@ -462,7 +462,12 @@ def test_packing_mirrors_gaps_verbatim():
     inst = bare(2, [("p", 2, 1), ("q", 2, 3)], ["p", "q", "p", "q"])
     packing = export_interval_packing(inst)
     assert packing.limit == 2
-    assert packing.intervals == ((0, 2, 2, 1), (1, 3, 2, 3))
+    assert tuple(packing.intervals) == ((0, 2, 2, 1), (1, 3, 2, 3))
+    # A view over the columns: length, indices and slices as for a tuple.
+    assert len(packing.intervals) == 2
+    assert packing.intervals[-1] == (1, 3, 2, 3)
+    assert packing.intervals[:1] == [(0, 2, 2, 1)]
+    assert list(packing.costs) == [1, 3]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -473,7 +478,33 @@ def test_packing_lists_the_gaps_in_order(name):
         want = tuple(
             (g.start, g.end, pages[g.page].size, pages[g.page].cost) for g in enumerate_gaps(inst)
         )
-        assert export_interval_packing(inst).intervals == want
+        assert tuple(export_interval_packing(inst).intervals) == want
+
+
+# Leading 16 hex digits of sha256(packing_to_text(export_interval_packing(...)))
+# per corpus graph, in the order fault H=1, fault H=2, bit H=1, bit H=2, simple.
+PACKING_DIGESTS = {
+    "K2": "85536cc31cd8b7e3 1d88155f9b2edfea e498bcbdfb928f98 de280b3fc8ef18c0 e9ffe3828f6b6b43",
+    "P3": "ecfe0497e1e43c3b 296f1631c8b2d741 a2705194b360345d 8875f935f33c0adc 2ee62e182ac081a2",
+    "K3": "5cd2f491df94caed bf9ab046b752b2af 41d013c6f188a576 2e0b5784999d4c85 b02cdce59460727c",
+    "P4": "ca4a5080a43e9a41 d7b1d28badb04af2 010412e03c18200e 699c9c3b281c11f4 71fc0a8e23f5e03f",
+    "K1_3": "1a014e15337c49a4 0a611465982bf638 a0008b25a27dbae9 022f38014405b04e 63f346a0c08a9515",
+    "C4": "3e751f8a1019e0df 24d33e667bf50522 8549ea7aaffc583a 0d4fdfb44df026e0 819f358423efc69d",
+    "C5": "786d3219bfa9d2cf 7d43830be5659c57 e1e634b5ccffdf05 010f680cf566c800 0f7977cbc44ea9a3",
+    "K4": "dbfd853b5c9eaa9c 5f39eea5e71873fe bfa1e0a7b2bd575d 39a3bcf515d70eb4 b1443ed8cc1f574d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKING_DIGESTS))
+def test_packing_text_pinned(name):
+    runs = [("fault", 1), ("fault", 2), ("bit", 1), ("bit", 2), ("simple", None)]
+    digests = tuple(
+        hashlib.sha256(
+            packing_to_text(export_interval_packing(generate(CORPUS[name], *run).instance)).encode()
+        ).hexdigest()[:16]
+        for run in runs
+    )
+    assert digests == tuple(PACKING_DIGESTS[name].split())
 
 
 def test_packing_optimum_equals_caching_optimum():
