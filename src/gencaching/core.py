@@ -94,45 +94,43 @@ class Request(NamedTuple):
     block: int | None
 
 
-class _RequestView(Sequence[Request]):
-    """An instance's request columns seen as `Request` tuples, each made on access."""
+def _request(t: int, pid: str, b: int) -> Request:
+    return Request(t, pid, None if b < 0 else b)
 
-    __slots__ = ("_pages", "_blocks")
 
-    def __init__(self, pages: tuple[str, ...], blocks: array) -> None:
-        self._pages = pages
-        self._blocks = blocks
+class _Rows(Sequence):
+    """Equal-length columns seen as one record per index: `row(*fields)`, made on access.
+
+    Negative indices and IndexError behave as for a tuple, and a slice is a list.
+    """
+
+    __slots__ = ("_row", "_columns")
+
+    def __init__(self, row, *columns: Sequence) -> None:
+        self._row = row
+        self._columns = columns
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[t] for t in range(*index.indices(len(self._pages)))]
-        t = range(len(self._pages))[index]  # negative indices and IndexError as for a tuple
-        b = self._blocks[t]
-        return Request(t, self._pages[t], None if b < 0 else b)
+            return list(map(self._row, *(column[index] for column in self._columns)))
+        i = range(len(self))[index]
+        return self._row(*(column[i] for column in self._columns))
 
-    def __iter__(self) -> Iterator[Request]:
-        for t, (pid, b) in enumerate(zip(self._pages, self._blocks)):
-            yield Request(t, pid, None if b < 0 else b)
+    def __iter__(self) -> Iterator:
+        return map(self._row, *self._columns)
 
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """A block of the generated request sequence.
-
-    `span` is the half-open position range [start, end) holding exactly this
-    block's requests.  An empty block's span is (x, x) where x is the end of
-    the previous non-empty block's span (0 if there is none), i.e. the
-    position where the block would begin.
-    """
+    """A block of the generated request sequence; `Instance.spans` holds its positions."""
 
     id: int
     kind: str
     vertex: int | None = None
     slot: int | None = None
-    span: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         if self.kind not in BLOCK_KINDS:
@@ -156,30 +154,26 @@ def _block_runs(request_blocks: array) -> Iterator[tuple[int, int, int]]:
         yield b, lo, t
 
 
-def _compute_spans(request_blocks: array, num_blocks: int) -> list[tuple[int, int]]:
+def _compute_spans(request_blocks: array, num_blocks: int) -> tuple[tuple[int, int], ...]:
     """Derive canonical block spans from the block column (-1: outside all blocks).
 
     Raises InstanceError when a block's requests are not contiguous, blocks
-    interleave, or a request references a block out of range.
+    interleave or come out of id order, or a request references a block out
+    of range.
     """
-    runs = [run for run in _block_runs(request_blocks) if run[0] != -1]
-    for b, lo, _ in runs:
+    spans: list[tuple[int, int]] = []
+    cursor = 0  # the end of the last non-empty block's span
+    for b, lo, hi in _block_runs(request_blocks):
+        if b == -1:
+            continue
         if not 0 <= b < num_blocks:
             raise InstanceError(f"request at {lo} references unknown block {b}")
-    found: dict[int, tuple[int, int]] = {}
-    for b, lo, hi in runs:
-        if b in found:
-            raise InstanceError(f"block {b}: requests are not contiguous")
-        found[b] = (lo, hi)
-    spans: list[tuple[int, int]] = []
-    cursor = 0
-    for b in range(num_blocks):
-        span = found.get(b, (cursor, cursor))
-        if span[0] < cursor:
-            raise InstanceError(f"block {b}: overlaps an earlier block")
-        spans.append(span)
-        cursor = span[1]
-    return spans
+        if b < len(spans):
+            raise InstanceError(f"block {b}: requests are not contiguous or not in block order")
+        spans += [(cursor, cursor)] * (b - len(spans))  # the empty blocks before b
+        spans.append((lo, hi))
+        cursor = hi
+    return tuple(spans + [(cursor, cursor)] * (num_blocks - len(spans)))
 
 
 class _PositionIndex(Mapping[str, array]):
@@ -258,10 +252,7 @@ class Instance:
             kinds = [b.kind for b in self.blocks]
             if kinds.count(BLOCK_INITIAL) != 1 or kinds.count(BLOCK_FINAL) != 1:
                 raise InstanceError("exactly one initial and one final block required")
-            spans = _compute_spans(column, len(self.blocks))
-            for b, span in zip(self.blocks, spans):
-                if b.span != span:
-                    raise InstanceError(f"block {b.id}: span {b.span} != canonical {span}")
+            self.spans  # derived once here, so a bad block column fails construction
         elif column.count(-1) != len(column):
             raise InstanceError("requests reference blocks but the instance has none")
         if self.policy == FORCED:
@@ -284,7 +275,18 @@ class Instance:
         A read-only view for callers that want one record per request; the
         package itself reads the two columns.
         """
-        return _RequestView(self.request_pages, self.request_blocks)
+        return _Rows(_request, range(self.num_requests), self.request_pages, self.request_blocks)
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Per block, the half-open position range [start, end) holding exactly
+        its requests, derived from `request_blocks`.
+
+        An empty block's span is (x, x) where x is the end of the previous
+        non-empty block's span (0 if there is none), i.e. the position where
+        the block would begin.
+        """
+        return _compute_spans(self.request_blocks, len(self.blocks))
 
     @cached_property
     def _positions(self) -> Mapping[str, array]:
@@ -318,29 +320,6 @@ def _page_table(pages: Iterable[Page | tuple[str, int, int]]) -> dict[str, Page]
     return table
 
 
-def _from_columns(
-    capacity: int,
-    table: Mapping[str, Page],
-    request_pages: Iterable[str],
-    request_blocks: array,
-    block_specs: Sequence[tuple[str, int | None, int | None]],
-    policy: str,
-    cost_scale: int,
-) -> Instance:
-    """The Instance of filled request columns; block spans are derived from them.
-
-    Every builder ends here.  `request_pages` must hold the table's own key
-    strings, and `block_specs` the (kind, vertex, slot) triples in block-id
-    order.
-    """
-    spans = _compute_spans(request_blocks, len(block_specs))
-    blocks = tuple(
-        Block(i, kind, vertex, slot, spans[i])
-        for i, (kind, vertex, slot) in enumerate(block_specs)
-    )
-    return Instance(capacity, table, tuple(request_pages), request_blocks, blocks, policy, cost_scale)
-
-
 def make_instance(
     capacity: int,
     pages: Iterable[Page | tuple[str, int, int]],
@@ -357,7 +336,7 @@ def make_instance(
     derived from the requests.
     """
     table = _page_table(pages)
-    block_specs = list(blocks)
+    blocks = tuple(Block(i, *spec) for i, spec in enumerate(blocks))
     request_pages: list[str] = []
     request_blocks = array("i")
     for pid, blk in requests:
@@ -366,11 +345,13 @@ def make_instance(
             raise InstanceError(f"request {len(request_pages)} asks for unknown page {pid!r}")
         if blk is None:
             blk = -1
-        elif not 0 <= blk < len(block_specs):
+        elif not 0 <= blk < len(blocks):
             raise InstanceError(f"request at {len(request_pages)} references unknown block {blk}")
         request_pages.append(page.id)
         request_blocks.append(blk)
-    return _from_columns(capacity, table, request_pages, request_blocks, block_specs, policy, cost_scale)
+    return Instance(
+        capacity, table, tuple(request_pages), request_blocks, blocks, policy, cost_scale
+    )
 
 
 class Gap(NamedTuple):
@@ -613,7 +594,8 @@ def instance_to_text(instance: Instance) -> str:
     return "".join(_instance_text_parts(instance))
 
 
-# The reader splits the text this many characters at a time (see _LineReader).
+# The reader splits the text this many characters at a time (see _LineReader);
+# `solver.packing_to_text` formats this many rows at a time.
 _CHUNK = 1 << 16
 
 
@@ -735,7 +717,7 @@ def _read_instance(r: _LineReader) -> Instance:
         )
     except InstanceError as exc:
         raise r.error(str(exc)) from exc
-    blocks: list[tuple[str, int | None, int | None]] = []
+    blocks: list[Block] = []
     for i, (bid, kind, *args) in enumerate(r.rows(r.value("blocks"), (2, 3), "<id> <kind> [<v>]")):
         if r.integer(bid, "block id") != i:
             raise r.error(f"expected block id {i}")
@@ -748,10 +730,9 @@ def _read_instance(r: _LineReader) -> Instance:
         else:
             raise r.error(f"unknown block kind {kind!r} with {len(args)} argument(s)")
         try:
-            Block(i, *spec)  # the block's own checks, reported at this line
+            blocks.append(Block(i, *spec))  # the block's own checks, reported at this line
         except InstanceError as exc:
             raise r.error(str(exc)) from exc
-        blocks.append(spec)
     # The writer's block tokens map straight to block ids; any other token
     # (such as 007) goes through the strict integer rule.
     block_ids = {str(i): i for i in range(len(blocks))}
@@ -770,7 +751,9 @@ def _read_instance(r: _LineReader) -> Instance:
         request_pages.append(page.id)
         request_blocks.append(b)
     try:
-        return _from_columns(capacity, table, request_pages, request_blocks, blocks, policy, scale)
+        return Instance(
+            capacity, table, tuple(request_pages), request_blocks, tuple(blocks), policy, scale
+        )
     except InstanceError as exc:
         raise FormatError(f"inconsistent instance: {exc}") from exc
 

@@ -81,9 +81,13 @@ class RoundTripReport:
     optimal: int | None
     k_caching: int | None
     k_oracle: int
-    excess: int | None
     verdict: str
     seconds: float
+
+    @property
+    def excess(self) -> int | None:
+        """optimal - threshold(k_oracle); threshold(k) is threshold(0) + k in every model."""
+        return None if self.k_caching is None else self.k_caching - self.k_oracle
 
 
 def round_trip(
@@ -103,7 +107,7 @@ def round_trip(
         result = solve_exact(output.instance, budget=budget)
     except BudgetExceeded:
         service = construct_service_from_is(output, max_set)
-        k_caching = excess = None
+        k_caching = None
         try:
             optimal = savings(output.instance, service)
         except InvalidServiceError:
@@ -113,7 +117,6 @@ def round_trip(
     else:
         optimal = result.optimal_savings
         k_caching = optimal - base
-        excess = optimal - output.threshold(k_oracle)
         ok = properties_ok and validate_service(output.instance, result.witness).ok
         if model == MODEL_SIMPLE:
             extracted = extract_is(output, result.witness)
@@ -133,7 +136,6 @@ def round_trip(
         optimal=optimal,
         k_caching=k_caching,
         k_oracle=k_oracle,
-        excess=excess,
         verdict=verdict,
         seconds=time.perf_counter() - started,
     )

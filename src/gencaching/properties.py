@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 from operator import add
 from typing import Iterable, Mapping
 
@@ -45,8 +45,11 @@ class MissingRolesError(ValueError):
 
 @dataclass(frozen=True)
 class PropertyCheck:
-    ok: bool
     witness: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.witness
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,10 @@ def _check_a(output: ReductionOutput) -> str:
     vertex_pages = {
         role.vertex: pid for pid, role in output.page_roles.items() if role.role == ROLE_VERTEX
     }
-    phase_spans: dict[int, tuple[int, int]] = {}
-    for b in output.instance.blocks:
+    phase_spans: dict[int, tuple[int, int]] = {}  # spans are ordered by block id
+    for b, (start, end) in zip(output.instance.blocks, output.instance.spans):
         if b.kind == BLOCK_PHASE:
-            lo, hi = phase_spans.get(b.vertex, b.span)
-            phase_spans[b.vertex] = (min(lo, b.span[0]), max(hi, b.span[1]))
+            phase_spans[b.vertex] = (phase_spans.get(b.vertex, (start,))[0], end)
     for v in range(output.graph.n):
         pid = vertex_pages.get(v)
         if pid is None:
@@ -144,7 +146,8 @@ def _check_c(output: ReductionOutput) -> str:
             if role.role == role_name:
                 expected.setdefault(role.edge, []).append(pid)
         seen: dict[int | None, list[str]] = {}
-        for pid in inst.request_pages[border.span[0] : border.span[1]]:
+        lo, hi = inst.spans[border.id]
+        for pid in inst.request_pages[lo:hi]:
             seen.setdefault(roles[pid].edge, []).append(pid)
         for j in range(output.graph.m):
             got = seen.get(j, [])
@@ -159,9 +162,9 @@ def _check_c(output: ReductionOutput) -> str:
 def _check_d(output: ReductionOutput) -> str:
     """(d) Within a block, requests are grouped by edge in edge order."""
     request_pages = output.instance.request_pages
-    for b in output.instance.blocks:
+    for b, (lo, hi) in zip(output.instance.blocks, output.instance.spans):
         prev = -1
-        for pid in request_pages[b.span[0] : b.span[1]]:
+        for pid in request_pages[lo:hi]:
             j = output.page_roles[pid].edge
             if j is None:
                 return f"block {b.id}: vertex page {pid} inside a block"
@@ -177,10 +180,9 @@ def _check_e(output: ReductionOutput) -> str:
     request_pages = output.instance.request_pages
     early = {ROLE_CARRY_FRONT, ROLE_LEAD_OUT}
     late = {ROLE_LEAD_IN, ROLE_CARRY_BACK}
-    for b in output.instance.blocks:
+    for b, (lo, hi) in zip(output.instance.blocks, output.instance.spans):
         last_early: dict[int, int] = {}
         first_late: dict[int, int] = {}
-        lo, hi = b.span
         for t, pid in enumerate(request_pages[lo:hi], lo):
             role = output.page_roles[pid]
             if role.role in early:
@@ -224,7 +226,7 @@ def check_properties(output: ReductionOutput) -> PropertyReport:
     """Check properties (a)-(f); each failure carries a human-readable witness."""
     _roles_of_requested(output)
     witnesses = {key: check(output) for key, check in _CHECKS.items()}
-    return PropertyReport({key: PropertyCheck(not w, w) for key, w in witnesses.items()})
+    return PropertyReport({key: PropertyCheck(w) for key, w in witnesses.items()})
 
 
 def construct_service_from_is(output: ReductionOutput, selected: Iterable[int]) -> Service:
@@ -293,7 +295,13 @@ class BlockDiagnostics:
     s_edge: tuple[tuple[int, ...], ...]
     epsilon_edge: tuple[tuple[int, ...], ...]
     phi_edge: tuple[tuple[int, ...], ...]
-    gamma_edge: tuple[tuple[int, ...], ...]
+
+    @property
+    def gamma_edge(self) -> tuple[tuple[int, ...], ...]:
+        s_edge = self.s_edge
+        return tuple(
+            tuple(abs(b - a) for a, b in zip(row, after)) for row, after in zip(s_edge, s_edge[1:])
+        )
 
     @property
     def s(self) -> tuple[int, ...]:
@@ -342,7 +350,7 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
         raise InvalidServiceError("diagnostics requires a valid service")
     runs = merged_occupancy_runs(inst, service)
     d = len(inst.blocks)
-    starts = [b.span[0] for b in inst.blocks]
+    starts = [lo for lo, _ in inst.spans]
     # Diff tables of s, epsilon and phi, each flat with m entries per block: a
     # list per block would add 3(d + 1) objects for the cyclic GC to scan.
     diff_s, diff_eps, diff_phi = carry = [[0] * ((d + 1) * m) for _ in range(3)]
@@ -361,25 +369,12 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
                 for diff in tables:
                     diff[lo * m + j] += 1
                     diff[hi * m + j] -= 1
-    prefixed = []
-    for diff in carry:
-        acc = [0] * m
-        rows = []
-        for b in range(d):
-            acc = list(map(add, acc, diff[b * m:(b + 1) * m]))
-            rows.append(tuple(acc))
-        prefixed.append(tuple(rows))
-    s_edge, eps_edge, phi_edge = prefixed
-    gamma_edge = tuple(
-        tuple(abs(b - a) for a, b in zip(row, after)) for row, after in zip(s_edge, s_edge[1:])
-    )
-    return BlockDiagnostics(
-        slots=m * output.H,
-        s_edge=s_edge,
-        epsilon_edge=eps_edge,
-        phi_edge=phi_edge,
-        gamma_edge=gamma_edge,
-    )
+
+    def prefix_rows(diff: list[int]) -> tuple[tuple[int, ...], ...]:
+        rows = (tuple(diff[b * m : (b + 1) * m]) for b in range(d))
+        return tuple(accumulate(rows, lambda acc, row: tuple(map(add, acc, row))))
+
+    return BlockDiagnostics(m * output.H, *map(prefix_rows, carry))
 
 
 def diagnostics_to_csv(diag: BlockDiagnostics) -> str:
@@ -387,10 +382,10 @@ def diagnostics_to_csv(diag: BlockDiagnostics) -> str:
     lines = ["block,edge,s,delta,gamma,epsilon,phi"]
     d = len(diag.s_edge)
     m = len(diag.s_edge[0]) if d else 0
-    delta = diag.delta
+    delta, gamma_edge = diag.delta, diag.gamma_edge
     for b in range(d):
         for j in range(m):
-            gamma = str(diag.gamma_edge[b][j]) if b < d - 1 else ""
+            gamma = str(gamma_edge[b][j]) if b < d - 1 else ""
             lines.append(
                 f"{b},{j},{diag.s_edge[b][j]},{delta[b]},{gamma},"
                 f"{diag.epsilon_edge[b][j]},{diag.phi_edge[b][j]}"

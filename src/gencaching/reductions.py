@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping
 
 from .core import (
@@ -51,10 +51,10 @@ from .core import (
     BLOCK_PHASE,
     FORCED,
     OPTIONAL,
+    Block,
     Instance,
     InstanceError,
     Page,
-    _from_columns,
     _gc_paused,
     _instance_text_parts,
     _LineReader,
@@ -312,7 +312,7 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
                 roles[pid] = PageRole(role, edge=j, group=i)
 
     meta, block_pages, before, after = _skeleton(graph, H)
-    blocks: list[tuple[str, int | None, int | None]] = []
+    blocks: list[Block] = []
     request_pages: list[str] = []
     request_blocks = array("i")
 
@@ -330,15 +330,16 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
             assert len(three) <= 1, "two size-3 pages may never share a boundary"
             for slot, content in ((1, ()), (2, two), (3, three), (4, two), (5, ())):
                 emit(content, len(blocks))
-                blocks.append((BLOCK_INSERTED, None, slot))
+                blocks.append(Block(len(blocks), BLOCK_INSERTED, None, slot))
         emit([table[p].id for p in before.get(k, ())], -1)
         emit(row, len(blocks))
-        blocks.append(meta[k])
+        blocks.append(Block(len(blocks), *meta[k]))
         if k in after:
             emit([table[after[k]].id], -1)
         prev = row
-    instance = _from_columns(
-        2 * graph.m * H + 1, table, request_pages, request_blocks, blocks, OPTIONAL, scale
+    instance = Instance(
+        2 * graph.m * H + 1, table, tuple(request_pages), request_blocks, tuple(blocks),
+        OPTIONAL, scale,
     )
     return ReductionOutput(instance, model, graph, H, roles)
 
@@ -380,8 +381,8 @@ def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
     fresh = [f"{base}{k}" for k in range(inst.num_requests)]
     table = dict(inst.pages)
     table.update((pid, Page(pid, M, cost)) for pid in fresh)
-    request_pages = [pid for pair in zip(inst.request_pages, fresh) for pid in pair]
-    return _from_columns(
+    request_pages = tuple(chain.from_iterable(zip(inst.request_pages, fresh)))
+    return Instance(
         inst.capacity + M, table, request_pages, array("i", [-1]) * len(request_pages), (),
         FORCED, inst.cost_scale,
     )

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
+from . import core
 from .core import (
     FORCED,
     OPTIONAL,
@@ -48,6 +49,7 @@ from .core import (
     Instance,
     Service,
     _gc_paused,
+    _Rows,
     enumerate_gaps,
     request_positions,
 )
@@ -96,11 +98,12 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _SlotPlan:
-    """Per position t: (slot, had an earlier request, has a later request,
-    ordinal of the request among its page's).  The slot is -1 for a page
-    requested once, which has no gap; `width` is the slot count k."""
+    """Per position t: (slot, has a later request, ordinal of the request
+    among its page's); the page had an earlier request iff the ordinal is
+    positive.  The slot is -1 for a page requested once, which has no gap;
+    `width` is the slot count k."""
 
-    rows: tuple[tuple[int, bool, bool, int], ...]
+    rows: tuple[tuple[int, bool, int], ...]
     width: int
 
 
@@ -134,7 +137,7 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
             slot_of[page] = slot
         else:
             slot = -1
-        rows.append((slot, i > 0, more, i))
+        rows.append((slot, more, i))
     return _SlotPlan(tuple(rows), width)
 
 
@@ -182,7 +185,7 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
     cur: dict[int, tuple] = {0: (0, 0, None)}
     states = transitions = peak = peak_at = 0
     with _gc_paused():
-        for t, ((slot, _, can_open, _), pid) in enumerate(zip(plan.rows, request_pages)):
+        for t, ((slot, can_open, _), pid) in enumerate(zip(plan.rows, request_pages)):
             page = pages[pid]
             sizep = page.size
             costp = page.cost
@@ -244,7 +247,7 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
     chosen: list[tuple[str, int]] = []
     while chain is not None:
         t, chain = chain
-        chosen.append((request_pages[t], plan.rows[t][3]))
+        chosen.append((request_pages[t], plan.rows[t][2]))
     return SolveResult(best, Service.of(chosen), SolveStats(states, transitions, peak, peak_at))
 
 
@@ -288,7 +291,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
 
     reach = 1
     states = transitions = peak = peak_at = 0
-    for t, (slot, prev, more, _) in enumerate(plan.rows):
+    for t, (slot, more, ordinal) in enumerate(plan.rows):
         page = pages[request_pages[t]]
         room = cap - page.size
         if slot < 0:
@@ -304,7 +307,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             new = nxt.reshape(-1, 2, lo)
             held = size.reshape(-1, 2, lo)
             without, with_ = cur[:, 0], cur[:, 1]
-            if not prev:
+            if not ordinal:
                 # The slot was free: p's first request gives it p's size.
                 np.add(held[:, 0], page.size, out=held[:, 1])
             fit = held[:, 0] <= room
@@ -313,7 +316,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             transitions += reached(stay)
             if more:
                 transitions += reached(load)
-            if prev:
+            if ordinal:
                 gain = np.where(with_ >= 0, with_ + page.cost, -1)  # from a cached p
                 transitions += reached(with_) * (2 if more else 1)
                 pick = choice.reshape(-1, 2, lo)
@@ -342,13 +345,13 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     mask = 0
     chosen: list[tuple[str, int]] = []
     for t in range(len(plan.rows) - 1, -1, -1):
-        slot, prev, more, ordinal = plan.rows[t]
+        slot, more, ordinal = plan.rows[t]
         if slot < 0:
             continue
         bit = 1 << slot
         if more and mask & bit:
             chosen.append((request_pages[t], ordinal))
-        if prev and decisions[t][mask >> 3] >> (mask & 7) & 1:
+        if ordinal and decisions[t][mask >> 3] >> (mask & 7) & 1:
             mask |= bit
         else:
             mask &= ~bit
@@ -464,26 +467,6 @@ def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple
                 yield mask, value
 
 
-class _Intervals(Sequence[tuple[int, int, int, int]]):
-    """A packing's four columns seen as (start, end, weight, value) tuples, each made on access."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: tuple[array, array, array, array]) -> None:
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(zip(*(column[index] for column in self._columns)))
-        return tuple(column[index] for column in self._columns)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return zip(*self._columns)
-
-
 @dataclass(frozen=True)
 class IntervalPackingInstance:
     """Weighted intervals with per-point weight limit `limit`.
@@ -507,7 +490,7 @@ class IntervalPackingInstance:
     @property
     def intervals(self) -> Sequence[tuple[int, int, int, int]]:
         """The intervals as (start, end, weight, value) tuples, made on access."""
-        return _Intervals((self.starts, self.ends, self.sizes, self.costs))
+        return _Rows(lambda *row: row, self.starts, self.ends, self.sizes, self.costs)
 
 
 def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
@@ -532,6 +515,11 @@ def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
 
 
 def packing_to_text(packing: IntervalPackingInstance) -> str:
-    lines = ["interval-packing 1", f"limit {packing.limit}"]
-    lines += map("{} {} {} {}".format, packing.starts, packing.ends, packing.sizes, packing.costs)
-    return "\n".join(lines) + "\n"
+    """The packing's text, one line per interval, formatted `core._CHUNK`
+    rows at a time so that no more rows than that are separate strings at once."""
+    columns = (packing.starts, packing.ends, packing.sizes, packing.costs)
+    step = core._CHUNK
+    parts = [f"interval-packing 1\nlimit {packing.limit}\n"]
+    for lo in range(0, len(packing.starts), step):
+        parts.append("".join(map("{} {} {} {}\n".format, *(c[lo : lo + step] for c in columns))))
+    return "".join(parts)

@@ -24,6 +24,7 @@ from gencaching import (
     Gap,
     Graph,
     BudgetExceeded,
+    Block,
     Instance,
     InstanceError,
     InvalidServiceError,
@@ -185,6 +186,46 @@ def test_requests_view_reads_the_columns():
 def test_instance_checks_its_columns(pages, blocks):
     with pytest.raises(InstanceError):
         Instance(3, _PAGES, pages, blocks)
+
+
+_TWO_BLOCKS = (Block(0, "initial"), Block(1, "final"))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [0, 1, 0],  # block 0 interleaved with block 1
+        [0, -1, 0],  # block 0 interleaved with an out-of-block request
+        [1, 0, 0],  # blocks out of order
+        [0, 2, 1],  # block id out of range
+        [0, -2, 1],
+    ],
+)
+def test_instance_checks_its_block_column(column):
+    with pytest.raises(InstanceError):
+        Instance(3, _PAGES, tuple("aba"), array("i", column), _TWO_BLOCKS)
+
+
+def test_spans_agree_across_builders_and_copies():
+    inst = generate(CORPUS["P3"], "bit", 1).instance
+    built = [
+        Instance(inst.capacity, inst.pages, inst.request_pages, inst.request_blocks, inst.blocks),
+        make_instance(
+            inst.capacity,
+            inst.pages.values(),
+            [(r.page, r.block) for r in inst.requests],
+            [(b.kind, b.vertex, b.slot) for b in inst.blocks],
+        ),
+        instance_from_text(instance_to_text(inst)),
+        pickle.loads(pickle.dumps(inst)),
+        copy.deepcopy(inst),
+    ]
+    assert len(inst.spans) == len(inst.blocks)
+    for b, (lo, hi) in enumerate(inst.spans):
+        assert inst.request_blocks[lo:hi] == array("i", [b]) * (hi - lo)
+    for other in built:
+        assert other == inst and other.spans == inst.spans
+    assert optional_to_forced(inst).spans == ()
 
 
 def test_generated_requests_take_a_few_bytes_each():
@@ -474,7 +515,7 @@ def test_block_spans_are_contiguous_and_ordered():
     )
     # The final block has no requests of its own; its span is the empty
     # interval at the previous block's end.
-    assert [b.span for b in inst.blocks] == [(0, 2), (3, 4), (4, 4)]
+    assert inst.spans == ((0, 2), (3, 4), (4, 4))
 
 
 def test_interleaved_block_requests_rejected():

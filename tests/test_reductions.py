@@ -205,7 +205,7 @@ def test_fault_vertex_requests_straddle_their_phase():
         positions = [r.position for r in inst.requests if r.page == pid]
         assert len(positions) == 2
         assert all(r.block is None for r in inst.requests if r.page == pid)
-        phase_spans = [b.span for b in inst.blocks if b.vertex == v]
+        phase_spans = [span for b, span in zip(inst.blocks, inst.spans) if b.vertex == v]
         first, last = phase_spans[0], phase_spans[-1]
         assert positions[0] == first[0] - 1
         assert positions[1] == last[1]

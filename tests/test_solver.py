@@ -37,7 +37,7 @@ from gencaching import (
     solve_exact,
     validate_service,
 )
-from gencaching import solver
+from gencaching import core, solver
 from gencaching.solver import (
     DENSE_MIN_CELLS,
     _feasible_subsets,
@@ -385,8 +385,8 @@ def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots)
     assert len(plan.rows) == len(inst.requests)
     # Gaps open at one boundary hold distinct slots.
     open_slots: set[int] = set()
-    for slot, prev, more, _ in plan.rows:
-        if prev:
+    for slot, more, ordinal in plan.rows:
+        if ordinal:
             open_slots.remove(slot)
         if more:
             assert slot not in open_slots
@@ -467,6 +467,8 @@ def test_packing_mirrors_gaps_verbatim():
     assert len(packing.intervals) == 2
     assert packing.intervals[-1] == (1, 3, 2, 3)
     assert packing.intervals[:1] == [(0, 2, 2, 1)]
+    with pytest.raises(IndexError):
+        packing.intervals[2]
     assert list(packing.costs) == [1, 3]
 
 
@@ -505,6 +507,24 @@ def test_packing_text_pinned(name):
         for run in runs
     )
     assert digests == tuple(PACKING_DIGESTS[name].split())
+
+
+def test_packing_text_peaks_a_few_bytes_per_gap(monkeypatch):
+    # The rows are formatted one slice of `core._CHUNK` rows at a time, here
+    # made small so that the 9,699 gaps span ten slices; one str per gap
+    # before a single join peaked at about 98 bytes per gap.
+    packing = export_interval_packing(generate(CORPUS["K3"], "bit", 8).instance)
+    want = packing_to_text(packing)
+    monkeypatch.setattr(core, "_CHUNK", 1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = packing_to_text(packing)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(packing.intervals) == 9699 and text == want
+    assert peak / len(packing.intervals) < 40
 
 
 def test_packing_optimum_equals_caching_optimum():
