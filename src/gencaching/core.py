@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
+from operator import countOf
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -146,11 +147,14 @@ class Block:
 
 
 def _block_runs(request_blocks: array) -> Iterator[tuple[int, int, int]]:
-    """(block, first position, end) of each maximal run of equal block ids."""
+    """(block, first position, end) of each maximal run of equal block ids.
+
+    A run's length is counted in C (`countOf`), not by a Python step per request.
+    """
     t = 0
     for b, run in groupby(request_blocks):
         lo = t
-        t += sum(1 for _ in run)
+        t += countOf(run, b)
         yield b, lo, t
 
 

@@ -11,15 +11,17 @@ slot count k is the largest number of gaps open at one boundary, far below
 the page count, and the sweep is exponential only in k, not in the request
 count.
 
-Two backends run the same sweep.  `_solve_dict` keeps a dict of reachable
+Three backends run the same sweep.  `_solve_dict` keeps a dict of reachable
 masks; each state carries its chosen gaps forward as a chain of the positions
-where they open, shared with the states it came from, and per mask the first
-state reached with the best savings is kept.  `_solve_dense` keeps every
-layer as numpy arrays of 2^k entries and one decision bit per mask, and walks
-back from the empty mask for the witness.  `solve_exact` picks the dense
-backend where the layers are large and numpy is installed (see
-`DENSE_MIN_CELLS`); both explore the same reachable masks, so the optimum and
-the counters do not depend on the choice.
+where they open, shared with the states it came from.  `_solve_dense` keeps
+every layer as numpy arrays of 2^k entries and one decision bit per mask, and
+walks back from the empty mask for the witness.  `_solve_packed` runs the
+dense sweep on Python ints, one bit field per mask, and walks back alike.
+`solve_exact` runs the packed sweep where 2^k is within the state budget
+and the layers are below `NUMPY_MIN_CELLS`, numpy above it where numpy is
+installed, and the dict DP everywhere else.  All three explore the same reachable masks
+and give ties to the predecessor that held the requested page, so the
+optimum, the witness and the counters do not depend on the choice.
 
 `solve_brute_force` is the independent oracle for the DP, guarded to small gap
 counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
@@ -39,7 +41,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import core
 from .core import (
@@ -56,9 +58,9 @@ from .core import (
 
 DEFAULT_STATE_BUDGET = 5_000_000
 BRUTE_FORCE_GAP_GUARD = 24
-# The dense backend runs when n * 2^k reaches this many cells: below it the
-# dict DP is as fast, and the numpy import (about 0.15 s) would dominate.
-DENSE_MIN_CELLS = 1 << 21
+# numpy's dense sweep runs when n * 2^k reaches this many cells: below it the
+# packed sweep is as fast, and the numpy import (about 0.15 s) would dominate.
+NUMPY_MIN_CELLS = 1 << 24
 # Brute force precomputes its Gray-code steps through at most this many low
 # gaps, so its memory does not grow with the subset count.
 _GRAY_ROUND_GAPS = 10
@@ -145,16 +147,23 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     """Optimal savings plus a witness service, by the boundary-state sweep.
 
     `budget` caps the number of states in any single layer; exceeding it
-    raises BudgetExceeded (never a wrong answer).  With k slots the dense
-    backend runs iff 2^k <= budget, n * 2^k >= DENSE_MIN_CELLS and numpy can
-    be imported; otherwise the dict DP runs.  A layer never holds more than
-    2^k masks, so the dense backend runs only where the dict DP could not
-    have hit the budget, and the optimum, the counters and the refusals are
-    the same either way.  The witness is deterministic for a given backend.
+    raises BudgetExceeded (never a wrong answer).  With k slots and n
+    requests, the packed sweep runs iff 2^k <= budget and n * 2^k <
+    NUMPY_MIN_CELLS, numpy's dense sweep iff 2^k <= budget, n * 2^k >=
+    NUMPY_MIN_CELLS and numpy can be imported, and the dict DP otherwise.
+    Without numpy the large layers stay with the dict DP, whose memory the
+    budget bounds: the packed sweep keeps w bits per mask at every decision
+    position, 2.2 GiB for `fault` K4 at H=2.  A layer never holds more than
+    2^k masks, so the dense sweeps run only where the dict DP could not have
+    hit the budget, and all three backends break ties alike: the result
+    (optimum, witness and counters) and the refusals do not depend on which
+    runs.
     """
     plan = _slot_plan(instance)
     cells = 1 << plan.width
-    if cells <= budget and len(plan.rows) * cells >= DENSE_MIN_CELLS:
+    if cells <= budget:
+        if len(plan.rows) * cells < NUMPY_MIN_CELLS:
+            return _solve_packed(instance, plan)
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
         except ImportError:
@@ -169,8 +178,9 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
 
     Only the current and the next layer are alive, and a layer is refused
     as soon as it passes the budget, so the budget bounds memory too: two
-    layers of states plus their shared chains.  Per mask, the first state
-    reached with the best savings is kept.
+    layers of states plus their shared chains.  A mask has at most two
+    predecessors, one holding p and one not; on equal savings the one that
+    held p wins, as in the dense sweeps.
     """
     request_pages = instance.request_pages
     pages = instance.pages
@@ -208,12 +218,12 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
                         m2 = mask & ~bit
                         transitions += 1
                         old = nxt.get(m2)
-                        if old is None or gain > old[0]:
+                        if old is None or gain >= old[0]:
                             nxt[m2] = (gain, size - sizep, chain)
                         if can_open:
                             transitions += 1
                             old = nxt.get(mask)
-                            if old is None or gain > old[0]:
+                            if old is None or gain >= old[0]:
                                 nxt[mask] = (gain, size, (t, chain))
                     else:
                         # Close leaves the state as it is; under forced, serving
@@ -271,14 +281,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     cap = instance.capacity
     forced = instance.policy == FORCED
     cells = 1 << plan.width
-    # Savings never exceed the total cost, and a mask's size is at most one
-    # page size per slot; p's size is added before comparing with cap.
-    largest = max(
-        sum(pages[pid].cost for pid in request_pages),
-        (plan.width + 1) * max((p.size for p in pages.values()), default=0),
-        cap,
-    )
-    dtype = np.int32 if largest < 2**31 - 1 else np.int64
+    dtype = np.int32 if _largest(instance, plan) < 2**31 - 1 else np.int64
     sav = np.full(cells, -1, dtype)
     sav[0] = 0
     nxt = np.empty_like(sav)
@@ -340,8 +343,32 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
         if reach > peak:
             peak, peak_at = reach, t
 
-    # Walk back from the empty mask: a gap opened at t is chosen iff the
-    # mask after t holds its slot bit.
+    def held(t: int, mask: int) -> int:
+        return decisions[t][mask >> 3] >> (mask & 7) & 1
+
+    witness = _walk_back(instance, plan, held)
+    return SolveResult(int(sav[0]), witness, SolveStats(states, transitions, peak, peak_at))
+
+
+def _largest(instance: Instance, plan: _SlotPlan) -> int:
+    """A bound on every number a dense layer holds: savings never exceed the
+    total cost, a mask's size is at most one page size per slot, and p's size
+    is added to it before comparing with the capacity."""
+    pages = instance.pages
+    return max(
+        sum(pages[pid].cost for pid in instance.request_pages),
+        (plan.width + 1) * max((p.size for p in pages.values()), default=0),
+        instance.capacity,
+    )
+
+
+def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], int]) -> Service:
+    """The witness of a dense sweep, read back from the empty mask.
+
+    A gap opened at t is chosen iff the mask after t holds its slot bit;
+    `held(t, mask)` is 1 iff the predecessor of `mask` at a position t whose
+    page was requested before held that page.
+    """
     mask = 0
     chosen: list[tuple[str, int]] = []
     for t in range(len(plan.rows) - 1, -1, -1):
@@ -350,14 +377,113 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             continue
         bit = 1 << slot
         if more and mask & bit:
-            chosen.append((request_pages[t], ordinal))
-        if ordinal and decisions[t][mask >> 3] >> (mask & 7) & 1:
+            chosen.append((instance.request_pages[t], ordinal))
+        if ordinal and held(t, mask):
             mask |= bit
         else:
             mask &= ~bit
-    return SolveResult(
-        int(sav[0]), Service.of(chosen), SolveStats(states, transitions, peak, peak_at)
-    )
+    return Service.of(chosen)
+
+
+def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
+    """`_solve_dense`'s sweep on Python ints, one w-bit field per slot mask.
+
+    Field m of `sav` holds mask m's best savings + 1 (0 where unreachable)
+    and field m of `held` its cached size.  Every value stays below 2^top
+    (see `_largest`; savings + 1 too, as a page's first request costs at
+    least 1 and saves nothing), so the top bit of a field is a guard: a
+    field-wise comparison or overflow sets it without carrying into the
+    next field, and `flags - (flags >> top)` turns a set of guards into a
+    mask of their fields' value bits.  So each request is a few whole-int
+    operations.  A request to slot s
+    selects the masks without bit s with one periodic pattern per slot and
+    aligns the masks with bit s to them by a shift of w * 2^s bits.  Memory:
+    a few layers of 2^k * w bits plus k patterns, and one layer of guard
+    bits per position whose page was requested before (2^k * w / 8 bytes).
+    Ties go to the predecessor that held p.
+    """
+    request_pages = instance.request_pages
+    pages = instance.pages
+    forced = instance.policy == FORCED
+    top = _largest(instance, plan).bit_length()
+    w = top + 1
+    total = w << plan.width
+    unit = ((1 << total) - 1) // ((1 << w) - 1)  # bit 0 of every field
+    guard = unit << top
+    low = guard - unit  # `(layer + low & guard).bit_count()`: the fields reached
+
+    # Per slot s, all bits of the fields of masks without bit s, and their guards.
+    keeps = []
+    for s in range(plan.width):
+        keep, span = (1 << (w << s)) - 1, w << s + 1
+        while span < total:
+            keep |= keep << span
+            span <<= 1
+        keeps.append((keep, keep & guard))
+    # Per page size: (the size in every field, `held + fit` sets the guard
+    # of the fields where a page of that size does not fit beside `held`).
+    by_size = {
+        size: (unit * size, unit * ((1 << top) - 1 - instance.capacity + size))
+        for size in {page.size for page in pages.values()}
+    }
+
+    sav, held = 1, 0  # only the empty mask is reached, with no savings
+    decisions: dict[int, int] = {}
+    reach = 1
+    states = transitions = peak = peak_at = 0
+    for t, (slot, more, ordinal) in enumerate(plan.rows):
+        page = pages[request_pages[t]]
+        size, fit = by_size[page.size]
+        if slot < 0:
+            # A page requested once: close is the only move, and under forced
+            # the page must fit next to the current occupancy.
+            if forced:
+                over = held + fit & guard
+                sav ^= sav & over - (over >> top)
+                reach = (sav + low & guard).bit_count()
+            transitions += reach
+        else:
+            keep, keep_guard = keeps[slot]
+            shift = w << slot
+            held0 = held & keep
+            if not ordinal:
+                # The slot was free: p's first request gives it p's size.
+                held = held0 | (held0 + size & keep) << shift
+            without = sav & keep
+            over = held0 + fit & keep_guard
+            load = without ^ without & over - (over >> top)  # open from an uncached p
+            stay = load if forced else without  # close from an uncached p
+            transitions += (stay + low & guard).bit_count()
+            if more:
+                transitions += (load + low & guard).bit_count()
+            if ordinal:
+                with_ = sav >> shift & keep
+                live = with_ + low & guard
+                transitions += live.bit_count() * (2 if more else 1)
+                gain = with_ + (live >> top) * page.cost  # from a cached p
+                # A guard survives `(gain | guard) - other` iff gain >= other.
+                pick = (gain | guard) - stay & keep_guard
+                sav = stay ^ (gain ^ stay) & pick - (pick >> top)
+                if more:
+                    pick_open = (gain | guard) - load & keep_guard
+                    sav |= (load ^ (gain ^ load) & pick_open - (pick_open >> top)) << shift
+                    pick |= pick_open << shift
+                decisions[t] = pick
+            else:
+                sav = stay | load << shift
+            reach = (sav + low & guard).bit_count()
+        if not reach:
+            raise BudgetExceeded(f"no feasible state at position {t}")
+        states += reach
+        if reach > peak:
+            peak, peak_at = reach, t
+
+    def held_p(t: int, mask: int) -> int:
+        return decisions[t] >> mask * w + top & 1
+
+    # Every gap has closed after the last position: only field 0 is left.
+    witness = _walk_back(instance, plan, held_p)
+    return SolveResult(sav - 1, witness, SolveStats(states, transitions, peak, peak_at))
 
 
 def solve_brute_force(instance: Instance) -> SolveResult:

@@ -28,7 +28,7 @@ from gencaching import (
 )
 from gencaching import harness
 from gencaching.harness import MAX_ORACLE_VERTICES, REPORT_COLUMNS
-from gencaching.solver import _slot_plan, _solve_dense, _solve_dict
+from gencaching.solver import _slot_plan, _solve_dense, _solve_dict, _solve_packed
 
 EXPECTED_MIS = {
     "K2": (1, {0}),
@@ -179,7 +179,8 @@ def labelled_graphs(max_n: int):
 @pytest.mark.parametrize("model", MODELS)
 def test_every_small_labelled_graph_round_trips(model):
     """The 75 graphs with n <= 4 at H=1: checks (a)-(f), the sandwich bounds,
-    `simple` exactness, and the dict and dense DPs agree."""
+    `simple` exactness, and the dict DP, the packed sweep and the dense sweep
+    return equal results."""
     dense = importlib.util.find_spec("numpy") is not None
     for graph in labelled_graphs(4):
         out = generate(graph, model, 1)
@@ -196,7 +197,6 @@ def test_every_small_labelled_graph_round_trips(model):
             assert not any(u in picked and v in picked for u, v in graph.edges), graph
         else:
             assert out.threshold(k_oracle) <= best <= out.threshold(0) + graph.n, graph
+        assert _solve_packed(inst, plan) == result, graph
         if dense:
-            other = _solve_dense(inst, plan)
-            assert (other.optimal_savings, other.explored) == (best, result.explored), graph
-            assert savings(inst, other.witness) == best
+            assert _solve_dense(inst, plan) == result, graph

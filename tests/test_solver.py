@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import random
 import subprocess
@@ -12,7 +13,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencaching import (
@@ -39,11 +40,12 @@ from gencaching import (
 )
 from gencaching import core, solver
 from gencaching.solver import (
-    DENSE_MIN_CELLS,
+    NUMPY_MIN_CELLS,
     _feasible_subsets,
     _slot_plan,
     _solve_dense,
     _solve_dict,
+    _solve_packed,
 )
 from randgen import gap_pairs, random_tiny_instance
 
@@ -116,8 +118,11 @@ def test_dict_dp_refuses_a_layer_as_it_passes_the_budget():
     k = 12
     inst = bare(k, [(f"p{i}", 1, 1) for i in range(k)], [f"p{i}" for i in range(k)] * 2)
     budget = 1 << (k - 1)
-    assert _slot_plan(inst).width == k  # 2^k masks exceed the budget: the dict DP runs
-    solve_exact(inst)  # fills the tuple free lists, which tracemalloc counts as held
+    plan = _slot_plan(inst)
+    assert plan.width == k  # 2^k masks exceed the budget: the dict DP runs
+    # Fills the tuple free lists, which tracemalloc counts as held; with the
+    # default budget solve_exact would run the packed sweep instead.
+    _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=f"layer {k - 1} "):
@@ -323,30 +328,65 @@ def test_brute_force_counts_subsets_and_valid_ones():
 # --- slot plan, dense backend and dispatch -----------------------------------
 
 
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
 def assert_backends_agree(inst):
+    """The dict DP, the packed sweep and (with numpy) the dense sweep return
+    equal results: optimum, witness and all four counters."""
     plan = _slot_plan(inst)
     ref = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
-    dense = _solve_dense(inst, plan)
-    assert dense.optimal_savings == ref.optimal_savings
-    assert dense.explored == ref.explored  # states, transitions and the peak layer
-    assert all(type(count) is int for count in astuple(dense.explored))
-    assert validate_service(inst, dense.witness).ok
-    assert savings(inst, dense.witness) == dense.optimal_savings
+    others = [_solve_packed(inst, plan)]
+    if HAVE_NUMPY:
+        others.append(_solve_dense(inst, plan))
+    for other in others:
+        assert other == ref
+        assert all(type(count) is int for count in astuple(other.explored))
+        assert type(other.optimal_savings) is int
+    assert validate_service(inst, ref.witness).ok
+    assert savings(inst, ref.witness) == ref.optimal_savings
 
 
 @pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
 def test_dense_and_dict_backends_agree_on_random_instances(policy):
-    pytest.importorskip("numpy")
     rng = random.Random(20260814 if policy == OPTIONAL else 41)
     for _ in range(60):
         assert_backends_agree(random_tiny_instance(rng, policy))
+    for _ in range(4):
+        inst = random_tiny_instance(rng, policy, gaps=range(14, 19), length=(16, 26))
+        assert_backends_agree(inst)
+
+
+# Page sizes 1-4 and capacities 1-6, so that a page can be larger than C;
+# under forced, C holds every page, as the instance requires.  A page
+# requested once has no gap, and with no page requested twice k = 0.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([OPTIONAL, FORCED]),
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 3, 4, 2**40 + 1])), min_size=1, max_size=6
+    ),
+    st.lists(st.integers(0, 5), max_size=16),
+)
+@example(OPTIONAL, 1, [(2, 1), (1, 1)], [0, 1, 0, 1, 0])  # p0 is larger than C
+@example(FORCED, 2, [(1, 3), (2, 2)], [0, 1])  # k = 0
+@example(FORCED, 3, [(1, 2**40 + 1), (2, 3), (3, 1)], [0, 1, 0, 2, 1, 0])
+def test_packed_and_dict_sweeps_agree_hypothesis(policy, capacity, pages, picks):
+    table = [(f"p{i}", size, cost) for i, (size, cost) in enumerate(pages)]
+    if policy == FORCED:
+        capacity = max([capacity] + [size for size, _ in pages])
+    inst = bare(capacity, table, [f"p{i % len(pages)}" for i in picks], policy)
+    plan = _slot_plan(inst)
+    dict_result = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+    assert _solve_packed(inst, plan) == dict_result
+    assert savings(inst, dict_result.witness) == dict_result.optimal_savings
 
 
 # C5 and K4 at H=2 are left out: the dict DP takes about 8 s (C5 fault),
 # 24 s (C5 bit) and 10 minutes (K4) on them.
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_dense_and_dict_backends_agree_on_the_corpus(name):
-    pytest.importorskip("numpy")
     graph = CORPUS[name]
     cases = [("fault", 1), ("bit", 1)]
     if name not in ("C5", "K4"):
@@ -394,40 +434,78 @@ def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots)
     assert not open_slots
 
 
-def dispatch_case():
-    inst = generate(CORPUS["C4"], "fault", 2).instance
-    assert len(inst.requests) << _slot_plan(inst).width >= DENSE_MIN_CELLS
-    return inst
-
-
 def test_solve_exact_picks_the_backend_by_size(monkeypatch):
     pytest.importorskip("numpy")
     used = []
-    real = solver._solve_dense
+    for name in ("_solve_dict", "_solve_packed", "_solve_dense"):
 
-    def dense(*args):
-        used.append("dense")
-        return real(*args)
+        def spy(*args, real=getattr(solver, name), name=name):
+            used.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(solver, "_solve_dense", dense)
+        monkeypatch.setattr(solver, name, spy)
     solve_exact(bare(2, [("p", 1, 1)], ["p", "p"]))
-    assert used == []
-    inst = dispatch_case()
-    solve_exact(inst)
-    assert used == ["dense"]
-    # 2^13 masks exceed this budget, so the dict DP runs and refuses.
+    assert used == ["_solve_packed"]
+    mid = generate(CORPUS["K3"], "fault", 2).instance  # k = 11, 254 requests
+    assert len(mid.requests) << _slot_plan(mid).width < NUMPY_MIN_CELLS
+    want = solve_exact(mid)
+    assert solve_exact(mid, budget=1 << 11) == want  # 2^k masks within the budget
+    assert used[1:] == ["_solve_packed"] * 2
+    big = generate(CORPUS["C5"], "fault", 2).instance  # k = 15, 594 requests
+    assert len(big.requests) << _slot_plan(big).width >= NUMPY_MIN_CELLS
+    solve_exact(big)
+    assert used[3:] == ["_solve_dense"]
+    # 2^11 masks exceed these budgets, so the dict DP runs: it refuses a
+    # budget that its widest layer (1,696 masks) passes and otherwise
+    # returns what the packed sweep returned.
     with pytest.raises(BudgetExceeded):
-        solve_exact(inst, budget=10)
-    assert used == ["dense"]
+        solve_exact(mid, budget=10)
+    assert solve_exact(mid, budget=(1 << 11) - 1) == want
+    assert used[4:] == ["_solve_dict"] * 2
 
 
 def test_solve_exact_without_numpy_uses_the_dict_dp(monkeypatch):
-    inst = dispatch_case()
+    # Above NUMPY_MIN_CELLS (lowered here so that a small case passes it)
+    # the dict DP runs when numpy cannot be imported.
+    inst = generate(CORPUS["K3"], "fault", 2).instance  # n * 2^k = 254 * 2^11
+    want = solve_exact(inst)
+    monkeypatch.setattr(solver, "NUMPY_MIN_CELLS", 1 << 18)
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises ImportError
-    want = _solve_dict(inst, _slot_plan(inst), DEFAULT_STATE_BUDGET)
+    used = []
+    real = solver._solve_dict
+    monkeypatch.setattr(solver, "_solve_dict", lambda *args: used.append(args) or real(*args))
     assert solve_exact(inst) == want
+    assert len(used) == 1
     with pytest.raises(BudgetExceeded):
         solve_exact(inst, budget=10)
+
+
+def test_packed_solve_leaves_numpy_unloaded():
+    # C4 `fault` at H=2 (n * 2^k = 408 * 2^13) runs the packed sweep, which
+    # needs no numpy import.
+    src = Path(solver.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from gencaching import CORPUS, generate, solve_exact\n"
+        "assert solve_exact(generate(CORPUS['C4'], 'fault', 2).instance).optimal_savings == 266\n"
+        "sys.exit('numpy' in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
+
+
+def test_packed_solve_peaks_near_its_decision_layers():
+    # C4 `bit` at H=2: k = 13 and w = 14 bits per field, 1,044 positions
+    # keep a layer of guard bits (14 KiB each, about 14.3 MiB in all; numpy
+    # keeps 1 MiB of decision bits there).  The sweep adds a few layers.
+    inst = generate(CORPUS["C4"], "bit", 2).instance
+    plan = _slot_plan(inst)
+    tracemalloc.start()
+    try:
+        _solve_packed(inst, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024
 
 
 def test_package_import_leaves_numpy_unloaded():
