@@ -5,23 +5,27 @@ of gaps that cross the current boundary between positions.  At a request to
 page p exactly two decisions exist in a normalized service: close p's
 coverage (evict after serving) or keep p until its next request (open the
 gap).  Each gap gets a *slot* in one pass over the requests (`_slot_plan`):
-a page keeps its slot from its first request to its last, so the gaps open
-at one boundary hold distinct slots and a state is a bitmask over slots.  The
-slot count k is the largest number of gaps open at one boundary, far below
-the page count, and the sweep is exponential only in k, not in the request
-count.
+a page's first request takes the lowest slot not live, and when a last
+request frees a slot below the top one, the top slot's page moves into it.
+So the gaps open at one boundary hold distinct slots, the L_t slots live at
+boundary t are 0..L_t-1, and a state is a bitmask over them.  The slot count
+k, the most L_t, is the largest number of gaps open at one boundary, far
+below the page count, and the sweep is exponential only in k, not in the
+request count.
 
 Three backends run the same sweep.  `_solve_dict` keeps a dict of reachable
 masks; each state carries its chosen gaps forward as a chain of the positions
 where they open, shared with the states it came from.  `_solve_dense` keeps
-every layer as numpy arrays of 2^k entries and one decision bit per mask, and
-walks back from the empty mask for the witness.  `_solve_packed` runs the
-dense sweep on Python ints, one bit field per mask, and walks back alike.
-`solve_exact` runs the packed sweep where 2^k is within the state budget
-and the layers are below `NUMPY_MIN_CELLS`, numpy above it where numpy is
-installed, and the dict DP everywhere else.  All three explore the same reachable masks
-and give ties to the predecessor that held the requested page, so the
-optimum, the witness and the counters do not depend on the choice.
+every layer as numpy arrays of 2^k entries, reads only the first 2^L_t, and
+keeps one decision bit per live mask; it walks back from the empty mask for
+the witness.  `_solve_packed` runs the dense sweep on Python ints of 2^L_t
+bit fields, one per live mask, and walks back alike.  `solve_exact` runs
+the packed sweep where 2^k is within the state budget and the plan's live
+cells, the sum of 2^L_t, are below `NUMPY_MIN_CELLS`, numpy above it where
+numpy is installed, and the dict DP everywhere else.  All three explore the
+same reachable masks and give ties to the predecessor that held the
+requested page, so the optimum, the witness and the counters do not depend
+on the choice.
 
 `solve_brute_force` is the independent oracle for the DP, guarded to small gap
 counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
@@ -36,7 +40,6 @@ int operations instead of a call to the core validator.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -58,9 +61,11 @@ from .core import (
 
 DEFAULT_STATE_BUDGET = 5_000_000
 BRUTE_FORCE_GAP_GUARD = 24
-# numpy's dense sweep runs when n * 2^k reaches this many cells: below it the
-# packed sweep is as fast, and the numpy import (about 0.15 s) would dominate.
-NUMPY_MIN_CELLS = 1 << 24
+# numpy's dense sweep runs when the slot plan's live cells reach this many:
+# below it the packed sweep is faster than numpy's import (about 0.15 s) and
+# sweep together (`fault` C5 at H=2, 10.4 M cells: 0.20 s against 0.22 s in a
+# fresh process; `fault` K3 at H=3, 12.1 M: 0.26 s against 0.24 s).
+NUMPY_MIN_CELLS = 11_000_000
 # Brute force precomputes its Gray-code steps through at most this many low
 # gaps, so its memory does not grow with the subset count.
 _GRAY_ROUND_GAPS = 10
@@ -101,68 +106,82 @@ class SolveResult:
 @dataclass(frozen=True)
 class _SlotPlan:
     """Per position t: (slot, has a later request, ordinal of the request
-    among its page's); the page had an earlier request iff the ordinal is
-    positive.  The slot is -1 for a page requested once, which has no gap;
-    `width` is the slot count k."""
+    among its page's, live slots after t, move); the page had an earlier
+    request iff the ordinal is positive.  The slot is -1 for a page requested
+    once, which has no gap.  The live slots after t are 0..live-1.  `move` is
+    -1, or the top slot whose page moves into the slot freed at t right after
+    t.  `width` is the slot count k, the most slots live at once.  `cells`
+    counts the live cells, the masks a dense sweep reads: 2^L summed over the
+    positions, where L is the larger live count on either side of t."""
 
-    rows: tuple[tuple[int, bool, int], ...]
+    rows: tuple[tuple[int, bool, int, int, int], ...]
     width: int
+    cells: int
 
 
 def _slot_plan(instance: Instance) -> _SlotPlan:
-    """Give every gap a slot in one sweep over the requests.
+    """Give every gap a slot in one sweep over the requests, keeping the live
+    slots compact.
 
-    A page's first request takes the smallest free slot, its later requests
-    keep it, and its last request frees it, so each request touches at most
-    one slot bit and the slot count is the most gaps open at one boundary.
+    A page's first request takes slot L, where L slots are live; its later
+    requests keep it, and its last request frees it.  The page in the top
+    slot L-1 then moves to the freed slot, so the live slots are always
+    0..L-1, each request touches at most one slot bit plus one move, and the
+    slot count is the most gaps open at one boundary.
     """
     counts = Counter(instance.request_pages)
     seen: dict[str, int] = {}
     slot_of: dict[str, int] = {}
-    free: list[int] = []
-    width = 0
+    holder: list[str] = []  # the page in each live slot
+    width = cells = 0
     rows = []
     for page in instance.request_pages:
+        live = len(holder)
+        cells += 1 << live
         i = seen.get(page, 0)
         seen[page] = i + 1
         more = i + 1 < counts[page]
+        move = -1
         if i:
             slot = slot_of[page]
             if not more:
-                heapq.heappush(free, slot)
+                top = holder.pop()
+                if top != page:
+                    holder[slot] = top
+                    slot_of[top] = slot
+                    move = len(holder)
         elif more:
-            if free:
-                slot = heapq.heappop(free)
-            else:
-                slot = width
-                width += 1
+            slot = live
             slot_of[page] = slot
+            holder.append(page)
+            if live == width:
+                width += 1
+            cells += 1 << live  # the sweep reads the masks with the new slot too
         else:
             slot = -1
-        rows.append((slot, more, i))
-    return _SlotPlan(tuple(rows), width)
+        rows.append((slot, more, i, len(holder), move))
+    return _SlotPlan(tuple(rows), width, cells)
 
 
 def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Optimal savings plus a witness service, by the boundary-state sweep.
 
     `budget` caps the number of states in any single layer; exceeding it
-    raises BudgetExceeded (never a wrong answer).  With k slots and n
-    requests, the packed sweep runs iff 2^k <= budget and n * 2^k <
-    NUMPY_MIN_CELLS, numpy's dense sweep iff 2^k <= budget, n * 2^k >=
-    NUMPY_MIN_CELLS and numpy can be imported, and the dict DP otherwise.
-    Without numpy the large layers stay with the dict DP, whose memory the
-    budget bounds: the packed sweep keeps w bits per mask at every decision
-    position, 2.2 GiB for `fault` K4 at H=2.  A layer never holds more than
-    2^k masks, so the dense sweeps run only where the dict DP could not have
-    hit the budget, and all three backends break ties alike: the result
-    (optimum, witness and counters) and the refusals do not depend on which
-    runs.
+    raises BudgetExceeded (never a wrong answer).  With k slots, the packed
+    sweep runs iff 2^k <= budget and the plan's live cells are below
+    NUMPY_MIN_CELLS, numpy's dense sweep iff 2^k <= budget, the live cells
+    reach NUMPY_MIN_CELLS and numpy can be imported, and the dict DP
+    otherwise.  Without numpy the large layers stay with the dict DP, whose
+    memory the budget bounds: the packed sweep keeps w bits per live mask at
+    every decision position, 449 MiB for `fault` K4 at H=2.  A layer never
+    holds more than 2^k masks, so the dense sweeps run only where the dict
+    DP could not have hit the budget, and all three backends break ties
+    alike: the result (optimum, witness and counters) and the refusals do
+    not depend on which runs.
     """
     plan = _slot_plan(instance)
-    cells = 1 << plan.width
-    if cells <= budget:
-        if len(plan.rows) * cells < NUMPY_MIN_CELLS:
+    if 1 << plan.width <= budget:
+        if plan.cells < NUMPY_MIN_CELLS:
             return _solve_packed(instance, plan)
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
@@ -195,7 +214,7 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
     cur: dict[int, tuple] = {0: (0, 0, None)}
     states = transitions = peak = peak_at = 0
     with _gc_paused():
-        for t, ((slot, can_open, _), pid) in enumerate(zip(plan.rows, request_pages)):
+        for t, ((slot, can_open, _, _, move), pid) in enumerate(zip(plan.rows, request_pages)):
             page = pages[pid]
             sizep = page.size
             costp = page.cost
@@ -243,6 +262,11 @@ def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult
                                 nxt[m3] = (sav, size + sizep, (t, chain))
                 if len(nxt) > budget:
                     raise BudgetExceeded(f"layer {t} passes the budget of {budget} states")
+            if move >= 0:
+                # p's slot is clear in every mask: the top slot's page moves in.
+                top = 1 << move
+                for mask in [mask for mask in nxt if mask & top]:
+                    nxt[mask ^ top | bit] = nxt.pop(mask)
             reach = len(nxt)
             if not reach:
                 raise BudgetExceeded(f"no feasible state at position {t}")
@@ -265,14 +289,17 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     """The sweep over dense layers: numpy arrays indexed by the slot mask.
 
     A layer is the best savings per mask (-1 where unreachable) plus the
-    cached size per mask.  A request to slot s splits a layer through a
-    `reshape(-1, 2, 1 << s)` view into the masks without and with bit s, so
-    each request is a few whole-array operations.  Where the page was
-    requested before, the new mask's predecessor holds bit s or not; that
-    one decision bit per mask is kept packed, and the witness is read by
+    cached size per mask.  With L slots live, a layer is the first 2^L
+    entries of arrays of 2^k, and each request reads only that prefix (twice
+    it at a first request, whose slot is L).  A request to slot s splits the
+    prefix through a `reshape(-1, 2, 1 << s)` view into the masks without and
+    with bit s, so each request is a few whole-array operations; a move
+    copies the masks with the top bit onto those with bit s.  Where the page
+    was requested before, the new mask's predecessor holds bit s or not; that
+    one decision bit per live mask is kept packed, and the witness is read by
     walking back from the empty mask.  Memory: two savings layers and one
-    size array of 2^k ints (int32 when the totals fit) plus 2^k / 8 bytes per
-    such position.  Ties go to the predecessor that held p.
+    size array of 2^k ints (int32 when the totals fit) plus 2^L / 8 bytes
+    per such position.  Ties go to the predecessor that held p.
     """
     import numpy as np
 
@@ -293,22 +320,25 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
         return int(np.count_nonzero(layer >= 0))
 
     reach = 1
+    live = 0
     states = transitions = peak = peak_at = 0
-    for t, (slot, more, ordinal) in enumerate(plan.rows):
+    for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
         page = pages[request_pages[t]]
         room = cap - page.size
         if slot < 0:
             # A page requested once: close is the only move, and under forced
             # the page must fit next to the current occupancy.
             if forced:
-                sav[size > room] = -1
-                reach = reached(sav)
+                layer = sav[: 1 << live]
+                layer[size[: 1 << live] > room] = -1
+                reach = reached(layer)
             transitions += reach
         else:
+            span = 1 << max(live, after)
             lo = 1 << slot
-            cur = sav.reshape(-1, 2, lo)
-            new = nxt.reshape(-1, 2, lo)
-            held = size.reshape(-1, 2, lo)
+            cur = sav[:span].reshape(-1, 2, lo)
+            new = nxt[:span].reshape(-1, 2, lo)
+            held = size[:span].reshape(-1, 2, lo)
             without, with_ = cur[:, 0], cur[:, 1]
             if not ordinal:
                 # The slot was free: p's first request gives it p's size.
@@ -322,7 +352,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             if ordinal:
                 gain = np.where(with_ >= 0, with_ + page.cost, -1)  # from a cached p
                 transitions += reached(with_) * (2 if more else 1)
-                pick = choice.reshape(-1, 2, lo)
+                pick = choice[:span].reshape(-1, 2, lo)
                 np.greater_equal(gain, stay, out=pick[:, 0])
                 np.maximum(gain, stay, out=new[:, 0])
                 if more:
@@ -331,12 +361,19 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 else:
                     pick[:, 1] = False
                     new[:, 1] = -1
-                decisions[t] = np.packbits(choice, bitorder="little").tobytes()
+                decisions[t] = np.packbits(choice[:span], bitorder="little").tobytes()
             else:
                 new[:, 0] = stay
                 new[:, 1] = load
             sav, nxt = nxt, sav
-            reach = reached(sav)
+            if move >= 0:
+                # Bit s is clear in every mask: the masks with the top bit
+                # move onto those with bit s.
+                for layer in (sav, size):
+                    halves = layer[:span].reshape(2, -1, 2, lo)
+                    halves[0, :, 1] = halves[1, :, 0]
+            live = after
+            reach = reached(sav[: 1 << live])
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
@@ -367,15 +404,18 @@ def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], i
 
     A gap opened at t is chosen iff the mask after t holds its slot bit;
     `held(t, mask)` is 1 iff the predecessor of `mask` at a position t whose
-    page was requested before held that page.
+    page was requested before held that page.  A move after t is undone
+    before t is read.
     """
     mask = 0
     chosen: list[tuple[str, int]] = []
     for t in range(len(plan.rows) - 1, -1, -1):
-        slot, more, ordinal = plan.rows[t]
+        slot, more, ordinal, _, move = plan.rows[t]
         if slot < 0:
             continue
         bit = 1 << slot
+        if move >= 0 and mask & bit:
+            mask ^= bit | 1 << move
         if more and mask & bit:
             chosen.append((instance.request_pages[t], ordinal))
         if ordinal and held(t, mask):
@@ -386,54 +426,60 @@ def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], i
 
 
 def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
-    """`_solve_dense`'s sweep on Python ints, one w-bit field per slot mask.
+    """`_solve_dense`'s sweep on Python ints, one w-bit field per live mask.
 
     Field m of `sav` holds mask m's best savings + 1 (0 where unreachable)
-    and field m of `held` its cached size.  Every value stays below 2^top
-    (see `_largest`; savings + 1 too, as a page's first request costs at
-    least 1 and saves nothing), so the top bit of a field is a guard: a
-    field-wise comparison or overflow sets it without carrying into the
-    next field, and `flags - (flags >> top)` turns a set of guards into a
-    mask of their fields' value bits.  So each request is a few whole-int
-    operations.  A request to slot s
-    selects the masks without bit s with one periodic pattern per slot and
-    aligns the masks with bit s to them by a shift of w * 2^s bits.  Memory:
-    a few layers of 2^k * w bits plus k patterns, and one layer of guard
-    bits per position whose page was requested before (2^k * w / 8 bytes).
-    Ties go to the predecessor that held p.
+    and field m of `held` its cached size; with L slots live, both ints hold
+    2^L fields.  Every value stays below 2^top (see `_largest`; savings + 1
+    too, as a page's first request costs at least 1 and saves nothing), so
+    the top bit of a field is a guard: a field-wise comparison or overflow
+    sets it without carrying into the next field, and `flags - (flags >>
+    top)` turns a set of guards into a mask of their fields' value bits.  So
+    each request is a few whole-int operations.  A request to slot s selects
+    the masks without bit s with one periodic pattern per width and slot
+    and aligns the masks with bit s to them by a shift of w * 2^s bits; a
+    move shifts the masks with the top bit h onto them by w * (2^h - 2^s)
+    bits.  Memory: a few layers of 2^L * w bits, the patterns of every
+    width (about 4k ints of 2^k * w bits), and one layer of guard bits per
+    position whose page was requested before (2^L * w / 8 bytes).  Ties go
+    to the predecessor that held p.
     """
     request_pages = instance.request_pages
     pages = instance.pages
     forced = instance.policy == FORCED
     top = _largest(instance, plan).bit_length()
     w = top + 1
-    total = w << plan.width
-    unit = ((1 << total) - 1) // ((1 << w) - 1)  # bit 0 of every field
-    guard = unit << top
-    low = guard - unit  # `(layer + low & guard).bit_count()`: the fields reached
+    # Per page size: `held + unit * fit` sets the guard of the fields where a
+    # page of that size does not fit beside `held`.
+    fits = {page.size: (1 << top) - 1 - instance.capacity + page.size for page in pages.values()}
 
-    # Per slot s, all bits of the fields of masks without bit s, and their guards.
-    keeps = []
-    for s in range(plan.width):
-        keep, span = (1 << (w << s)) - 1, w << s + 1
-        while span < total:
-            keep |= keep << span
-            span <<= 1
-        keeps.append((keep, keep & guard))
-    # Per page size: (the size in every field, `held + fit` sets the guard
-    # of the fields where a page of that size does not fit beside `held`).
-    by_size = {
-        size: (unit * size, unit * ((1 << top) - 1 - instance.capacity + size))
-        for size in {page.size for page in pages.values()}
-    }
+    # Per live width L: (all bits of its 2^L fields, bit 0 of each, their
+    # guards, `low`: `(layer + low & guard).bit_count()` counts the fields
+    # reached, per slot s <= L all bits of the fields of masks without bit s
+    # and their guards).  Width L + 1 doubles width L's patterns, and its slot
+    # L keeps width L's fields.
+    widths = []
+    unit = 1
+    full = (1 << w) - 1
+    keeps = [full]
+    for width in range(plan.width + 1):
+        guard = unit << top
+        pairs = [(keep, keep & guard) for keep in keeps]
+        widths.append((full, unit, guard, guard - unit, pairs))
+        shift = w << width
+        unit |= unit << shift
+        keeps = [keep | keep << shift for keep in keeps[:-1]] + [full, full | full << shift]
+        full = keeps[-1]
 
     sav, held = 1, 0  # only the empty mask is reached, with no savings
     decisions: dict[int, int] = {}
+    live = 0
+    full, unit, guard, low, keeps = widths[live]
     reach = 1
     states = transitions = peak = peak_at = 0
-    for t, (slot, more, ordinal) in enumerate(plan.rows):
+    for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
         page = pages[request_pages[t]]
-        size, fit = by_size[page.size]
+        fit = unit * fits[page.size]
         if slot < 0:
             # A page requested once: close is the only move, and under forced
             # the page must fit next to the current occupancy.
@@ -448,7 +494,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
             held0 = held & keep
             if not ordinal:
                 # The slot was free: p's first request gives it p's size.
-                held = held0 | (held0 + size & keep) << shift
+                held = held0 | (held0 + unit * page.size & keep) << shift
             without = sav & keep
             over = held0 + fit & keep_guard
             load = without ^ without & over - (over >> top)  # open from an uncached p
@@ -458,9 +504,9 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 transitions += (load + low & guard).bit_count()
             if ordinal:
                 with_ = sav >> shift & keep
-                live = with_ + low & guard
-                transitions += live.bit_count() * (2 if more else 1)
-                gain = with_ + (live >> top) * page.cost  # from a cached p
+                holds = with_ + low & guard  # the reached masks that hold p
+                transitions += holds.bit_count() * (2 if more else 1)
+                gain = with_ + (holds >> top) * page.cost  # from a cached p
                 # A guard survives `(gain | guard) - other` iff gain >= other.
                 pick = (gain | guard) - stay & keep_guard
                 sav = stay ^ (gain ^ stay) & pick - (pick >> top)
@@ -468,9 +514,19 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                     pick_open = (gain | guard) - load & keep_guard
                     sav |= (load ^ (gain ^ load) & pick_open - (pick_open >> top)) << shift
                     pick |= pick_open << shift
+                else:
+                    held = held0  # the last request drops p's size
                 decisions[t] = pick
             else:
                 sav = stay | load << shift
+            if after != live:
+                live = after
+                full, unit, guard, low, keeps = widths[live]
+            if move >= 0:
+                # The top slot's page moves in: `full` holds the masks below its bit.
+                span = w << move
+                sav = sav & full | (sav >> span) << shift
+                held = held & full | (held >> span) << shift
             reach = (sav + low & guard).bit_count()
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")

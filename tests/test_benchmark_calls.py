@@ -43,7 +43,16 @@ def _failures(items) -> list[dict]:
 @pytest.mark.parametrize(
     "workload, body, case_ids",
     [
-        ("roundtrip-grid", "run_roundtrip", ["roundtrip:K2:simple", "roundtrip:K3:fault:H1:forced"]),
+        (
+            "roundtrip-grid",
+            "run_roundtrip",
+            [
+                "roundtrip:K2:simple",
+                "roundtrip:K3:fault:H1:forced",
+                "roundtrip:C5:fault:H2",
+                "roundtrip:C4:bit:H2",
+            ],
+        ),
         ("easy-bigH", "run_easy", ["easy:K2:fault", "easy:K2:bit", "easy:P3:fault"]),
     ],
 )

@@ -372,6 +372,11 @@ def test_dense_and_dict_backends_agree_on_random_instances(policy):
 @example(OPTIONAL, 1, [(2, 1), (1, 1)], [0, 1, 0, 1, 0])  # p0 is larger than C
 @example(FORCED, 2, [(1, 3), (2, 2)], [0, 1])  # k = 0
 @example(FORCED, 3, [(1, 2**40 + 1), (2, 3), (3, 1)], [0, 1, 0, 2, 1, 0])
+# A page moves into the slot freed below it, and its moved gap is chosen:
+# p1 from slot 1 to 0; p1, then p0, from 1 to 0; p1 from 2 to 1, then to 0.
+@example(OPTIONAL, 2, [(1, 1), (1, 1)], [0, 1, 0, 1])
+@example(FORCED, 5, [(1, 1), (2, 2), (4, 1), (1, 1)], [3, 1, 3, 0, 5, 0])
+@example(OPTIONAL, 5, [(4, 4), (4, 4), (1, 3)], [0, 2, 4, 2, 3, 1])
 def test_packed_and_dict_sweeps_agree_hypothesis(policy, capacity, pages, picks):
     table = [(f"p{i}", size, cost) for i, (size, cost) in enumerate(pages)]
     if policy == FORCED:
@@ -380,6 +385,8 @@ def test_packed_and_dict_sweeps_agree_hypothesis(policy, capacity, pages, picks)
     plan = _slot_plan(inst)
     dict_result = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
     assert _solve_packed(inst, plan) == dict_result
+    if HAVE_NUMPY:
+        assert _solve_dense(inst, plan) == dict_result
     assert savings(inst, dict_result.witness) == dict_result.optimal_savings
 
 
@@ -423,14 +430,25 @@ def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots)
     plan = _slot_plan(inst)
     assert plan.width == slots == most_gaps_open_at_one_boundary(inst)
     assert len(plan.rows) == len(inst.requests)
-    # Gaps open at one boundary hold distinct slots.
+    # Gaps open at one boundary hold distinct slots, the live slots are
+    # 0..live-1, and only the top slot's page moves, into the slot just freed.
     open_slots: set[int] = set()
-    for slot, more, ordinal in plan.rows:
+    slot_of: dict[str, int] = {}
+    for page, (slot, more, ordinal, live, move) in zip(inst.request_pages, plan.rows):
         if ordinal:
+            assert slot == slot_of.pop(page)
             open_slots.remove(slot)
         if more:
             assert slot not in open_slots
             open_slots.add(slot)
+            slot_of[page] = slot
+        if move >= 0:
+            assert not more and slot < move == len(open_slots)
+            open_slots.remove(move)
+            open_slots.add(slot)
+            (moved,) = [p for p, s in slot_of.items() if s == move]
+            slot_of[moved] = slot
+        assert open_slots == set(range(live))
     assert not open_slots
 
 
@@ -446,13 +464,13 @@ def test_solve_exact_picks_the_backend_by_size(monkeypatch):
         monkeypatch.setattr(solver, name, spy)
     solve_exact(bare(2, [("p", 1, 1)], ["p", "p"]))
     assert used == ["_solve_packed"]
-    mid = generate(CORPUS["K3"], "fault", 2).instance  # k = 11, 254 requests
-    assert len(mid.requests) << _slot_plan(mid).width < NUMPY_MIN_CELLS
+    mid = generate(CORPUS["K3"], "fault", 2).instance  # k = 11, 241,404 live cells
+    assert _slot_plan(mid).cells < NUMPY_MIN_CELLS
     want = solve_exact(mid)
     assert solve_exact(mid, budget=1 << 11) == want  # 2^k masks within the budget
     assert used[1:] == ["_solve_packed"] * 2
-    big = generate(CORPUS["C5"], "fault", 2).instance  # k = 15, 594 requests
-    assert len(big.requests) << _slot_plan(big).width >= NUMPY_MIN_CELLS
+    big = generate(CORPUS["C5"], "bit", 2).instance  # k = 15, 27,783,164 live cells
+    assert _slot_plan(big).cells >= NUMPY_MIN_CELLS
     solve_exact(big)
     assert used[3:] == ["_solve_dense"]
     # 2^11 masks exceed these budgets, so the dict DP runs: it refuses a
@@ -467,9 +485,9 @@ def test_solve_exact_picks_the_backend_by_size(monkeypatch):
 def test_solve_exact_without_numpy_uses_the_dict_dp(monkeypatch):
     # Above NUMPY_MIN_CELLS (lowered here so that a small case passes it)
     # the dict DP runs when numpy cannot be imported.
-    inst = generate(CORPUS["K3"], "fault", 2).instance  # n * 2^k = 254 * 2^11
+    inst = generate(CORPUS["K3"], "fault", 2).instance  # 241,404 live cells
     want = solve_exact(inst)
-    monkeypatch.setattr(solver, "NUMPY_MIN_CELLS", 1 << 18)
+    monkeypatch.setattr(solver, "NUMPY_MIN_CELLS", 1 << 17)
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises ImportError
     used = []
     real = solver._solve_dict
@@ -481,22 +499,25 @@ def test_solve_exact_without_numpy_uses_the_dict_dp(monkeypatch):
 
 
 def test_packed_solve_leaves_numpy_unloaded():
-    # C4 `fault` at H=2 (n * 2^k = 408 * 2^13) runs the packed sweep, which
-    # needs no numpy import.
+    # `fault` at H=2 on C4 (1,707,004 live cells) and C5 (10,432,508) runs
+    # the packed sweep, which needs no numpy import.
     src = Path(solver.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         "from gencaching import CORPUS, generate, solve_exact\n"
-        "assert solve_exact(generate(CORPUS['C4'], 'fault', 2).instance).optimal_savings == 266\n"
+        "for name, optimum in (('C4', 266), ('C5', 412)):\n"
+        "    inst = generate(CORPUS[name], 'fault', 2).instance\n"
+        "    assert solve_exact(inst).optimal_savings == optimum\n"
         "sys.exit('numpy' in sys.modules)"
     )
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
 
 
 def test_packed_solve_peaks_near_its_decision_layers():
-    # C4 `bit` at H=2: k = 13 and w = 14 bits per field, 1,044 positions
-    # keep a layer of guard bits (14 KiB each, about 14.3 MiB in all; numpy
-    # keeps 1 MiB of decision bits there).  The sweep adds a few layers.
+    # C4 `bit` at H=2: k = 13 and w = 13 bits per field, 1,044 positions
+    # keep a layer of guard bits over their live masks (6.7 MiB in all, 13.3
+    # MiB over all 2^k masks; numpy keeps 0.5 MiB of decision bits there).
+    # The sweep adds a few layers and the patterns of every width.
     inst = generate(CORPUS["C4"], "bit", 2).instance
     plan = _slot_plan(inst)
     tracemalloc.start()
@@ -505,7 +526,7 @@ def test_packed_solve_peaks_near_its_decision_layers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 1024 * 1024
+    assert peak < 10 * 1024 * 1024
 
 
 def test_package_import_leaves_numpy_unloaded():
