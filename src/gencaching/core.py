@@ -18,11 +18,12 @@ moment it is served.
 from __future__ import annotations
 
 import gc
+import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from operator import countOf
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -165,6 +166,8 @@ def _compute_spans(request_blocks: array, num_blocks: int) -> tuple[tuple[int, i
     interleave or come out of id order, or a request references a block out
     of range.
     """
+    if not num_blocks:
+        return ()  # the column is one run of -1, which Instance counts with array.count
     spans: list[tuple[int, int]] = []
     cursor = 0  # the end of the last non-empty block's span
     for b, lo, hi in _block_runs(request_blocks):
@@ -184,8 +187,7 @@ class _PositionIndex(Mapping[str, array]):
     """A read-only page -> positions index.
 
     A page requested once is stored as its bare position and read as a
-    one-element `array('i')`, so the fresh pages of a forced instance cost
-    no array each.
+    one-element `array('i')`, so it costs no array.
     """
 
     __slots__ = ("_by_page",)
@@ -204,6 +206,95 @@ class _PositionIndex(Mapping[str, array]):
         return iter(self._by_page)
 
 
+class _FlushTable(Mapping[str, Page]):
+    """The page table of a forced instance whose fresh requests are one rule.
+
+    The instance requests the optional instance `base`'s pages in `base`'s
+    order, each followed by a fresh page: base request t sits at position
+    2t, and page `prefix` + str(t) at 2t + 1.  Every fresh page has size
+    `size`, at least every requested size of `base`, and cost `cost`, and is
+    requested once.  The table holds `base`'s pages, then the fresh ones in
+    request order; a fresh `Page` is made on access, so nothing is stored
+    per fresh request.  No page id of `base` starts with `prefix`.
+    """
+
+    __slots__ = ("base", "prefix", "size", "cost")
+
+    def __init__(self, base: Instance, prefix: str, size: int, cost: int) -> None:
+        self.base, self.prefix, self.size, self.cost = base, prefix, size, cost
+
+    def fresh_ids(self, lo: int = 0, hi: int | None = None) -> Iterator[str]:
+        """The ids of fresh pages lo..hi-1 (hi defaults to their count)."""
+        if hi is None:
+            hi = len(self.base.request_pages)
+        return map(self.prefix.__add__, map(str, range(lo, hi)))
+
+    def fresh(self, pid: object) -> int:
+        """t when `pid` is the id of fresh page t, else -1."""
+        if not (isinstance(pid, str) and pid.startswith(self.prefix)):
+            return -1
+        t = pid[len(self.prefix) :]
+        if t.isascii() and t.isdigit() and str(int(t)) == t and int(t) < len(self.base.request_pages):
+            return int(t)
+        return -1
+
+    def column(self) -> Iterator[str]:
+        """The page id at every position: base request t, then fresh page t."""
+        return chain.from_iterable(zip(self.base.request_pages, self.fresh_ids()))
+
+    def __getitem__(self, pid: str) -> Page:
+        page = self.base.pages.get(pid)
+        if page is not None:
+            return page
+        if self.fresh(pid) < 0:
+            raise KeyError(pid)
+        return Page(pid, self.size, self.cost)
+
+    def __len__(self) -> int:
+        return len(self.base.pages) + len(self.base.request_pages)
+
+    def __iter__(self) -> Iterator[str]:
+        return chain(self.base.pages, self.fresh_ids())
+
+
+class _FlushIndex(Mapping[str, array]):
+    """The page -> positions index of a `_FlushTable` instance, read off its
+    base's index: a base page's positions doubled, made on access, and
+    position 2t + 1 for fresh page t.  It stores nothing per request."""
+
+    __slots__ = ("_table", "_base")
+
+    def __init__(self, table: _FlushTable) -> None:
+        self._table = table
+        self._base = request_positions(table.base)
+
+    def __getitem__(self, pid: str) -> array:
+        pos = self._base.get(pid)
+        if pos is not None:
+            # Shifting the bytes as one int doubles every entry: the doubled
+            # positions fit an array('i'), so no bit crosses into the next entry.
+            raw = pos.tobytes()
+            return array("i", (int.from_bytes(raw, sys.byteorder) << 1).to_bytes(len(raw), sys.byteorder))
+        t = self._table.fresh(pid)
+        if t < 0:
+            raise KeyError(pid)
+        return array("i", (2 * t + 1,))
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._table.base.request_pages)
+
+    def __iter__(self) -> Iterator[str]:
+        # A base page first requested at t (position 2t) follows the fresh
+        # pages before t and precedes fresh page t.
+        fresh_ids = self._table.fresh_ids
+        t = 0
+        for pid, pos in self._base.items():
+            yield from fresh_ids(t, pos[0])
+            yield pid
+            t = pos[0]
+        yield from fresh_ids(t)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A general caching instance.
@@ -217,6 +308,13 @@ class Instance:
     costs relate to the model's natural unit (1 except for scaled two-cost
     instances); all costs and savings are already expressed in the scaled
     units.
+
+    A forced instance made by `optional_to_forced` holds its fresh requests
+    as one rule: its `pages` is a `_FlushTable`, and its two columns are
+    those of the optional instance it extends, whose request t sits at
+    position 2t (see `_FlushTable`).  `num_requests`, `requests`,
+    `request_positions`, validation and the text writer read the rule;
+    such an instance has no blocks.
     """
 
     capacity: int
@@ -234,6 +332,21 @@ class Instance:
             raise InstanceError(f"unknown policy {self.policy!r}")
         if not isinstance(self.cost_scale, int) or self.cost_scale < 1:
             raise InstanceError("cost_scale must be a positive int")
+        flush = self._flush
+        if flush is not None:
+            base = flush.base
+            if (
+                self.policy != FORCED
+                or self.blocks
+                or self.capacity < flush.size
+                or self.request_pages is not base.request_pages
+                or self.request_blocks is not base.request_blocks
+            ):
+                raise InstanceError(
+                    "a flush table's instance is forced, has no blocks, "
+                    "holds its base's columns and fits its fresh pages"
+                )
+            return  # the base checked its columns, and no requested page is larger than flush.size
         for pid, page in self.pages.items():
             if pid != page.id:
                 raise InstanceError(f"page table key {pid!r} != page id {page.id!r}")
@@ -269,17 +382,29 @@ class Instance:
                 )
 
     @property
+    def _flush(self) -> _FlushTable | None:
+        """The page table when it holds the fresh requests as a rule, else None."""
+        pages = self.pages
+        return pages if isinstance(pages, _FlushTable) else None
+
+    @property
     def num_requests(self) -> int:
-        return len(self.request_pages)
+        n = len(self.request_pages)
+        return 2 * n if self._flush else n
 
     @property
     def requests(self) -> Sequence[Request]:
         """The requests as `Request(position, page, block)` tuples, made on access.
 
         A read-only view for callers that want one record per request; the
-        package itself reads the two columns.
+        package itself reads the two columns.  Under a flush rule the view
+        holds its own page column, one id per position.
         """
-        return _Rows(_request, range(self.num_requests), self.request_pages, self.request_blocks)
+        pages, blocks = self.request_pages, self.request_blocks
+        if self._flush:
+            pages = tuple(self._flush.column())
+            blocks = array("i", [-1]) * len(pages)
+        return _Rows(_request, range(len(pages)), pages, blocks)
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
@@ -295,6 +420,8 @@ class Instance:
     @cached_property
     def _positions(self) -> Mapping[str, array]:
         """Read-only page -> positions index, built on first use (see `request_positions`)."""
+        if self._flush:
+            return _FlushIndex(self._flush)
         by_page: dict[str, int | array] = {}
         for t, pid in enumerate(self.request_pages):
             pos = by_page.get(pid)
@@ -427,9 +554,34 @@ def request_positions(instance: Instance) -> Mapping[str, array]:
     Each page's positions are an `array('i')`; a page requested once is
     stored as its position and read as a new one-element array.  The index
     is built once per instance and shared by every caller, so neither it nor
-    its arrays may be modified.
+    its arrays may be modified.  A forced instance made by
+    `optional_to_forced` reads its optional instance's index, positions
+    doubled, and makes its arrays on access.
     """
     return instance._positions
+
+
+def _page_column(instance: Instance) -> Iterable[str]:
+    """The page id at every position, under a flush rule too."""
+    return instance._flush.column() if instance._flush else instance.request_pages
+
+
+def _explicit(instance: Instance) -> Instance:
+    """`instance` with its flush rule, if any, written out: one `Page` and
+    one entry of each column per fresh request, as in a forced instance read
+    from text.  For the solvers, whose instances are small."""
+    flush = instance._flush
+    if flush is None:
+        return instance
+    fresh = list(flush.fresh_ids())
+    table = dict(flush.base.pages)
+    with _gc_paused():
+        table.update((pid, Page(pid, flush.size, flush.cost)) for pid in fresh)
+    request_pages = tuple(chain.from_iterable(zip(flush.base.request_pages, fresh)))
+    return Instance(
+        instance.capacity, table, request_pages, array("i", [-1]) * len(request_pages), (),
+        FORCED, instance.cost_scale,
+    )
 
 
 @_gc_paused()
@@ -507,19 +659,25 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     """Check pointwise capacity and, under the forced policy, momentary fit.
 
     A request to page p at position t where p's chosen gaps do not cover t
-    must satisfy size(p) + occupancy(t) <= capacity under `forced`.
+    must satisfy size(p) + occupancy(t) <= capacity under `forced`.  The
+    loads are summed position by position only when the peak load passes
+    the capacity, or under `forced` the capacity minus the largest requested
+    size (a flush rule's fresh size): below that every request fits.
     """
     runs = merged_occupancy_runs(instance, service)
-    steps = _load_steps(instance, runs)
     cap = instance.capacity
+    peak = _peak_load(instance, runs)
+    check_fit = instance.policy == FORCED and peak > cap - _largest_request(instance)
     capacity_violations: list[int] = []
-    if max(accumulate(steps), default=0) > cap:
-        capacity_violations = [t for t, load in enumerate(accumulate(steps)) if load > cap]
     forced_violations: list[int] = []
-    if instance.policy == FORCED:
+    if peak > cap or check_fit:
+        steps = _load_steps(instance, runs)
+        if peak > cap:
+            capacity_violations = [t for t, load in enumerate(accumulate(steps)) if load > cap]
+    if check_fit:
         pages = instance.pages
         cursor: dict[str, int] = {}
-        for t, (pid, load) in enumerate(zip(instance.request_pages, accumulate(steps))):
+        for t, (pid, load) in enumerate(zip(_page_column(instance), accumulate(steps))):
             rs = runs.get(pid)
             covered = False
             if rs:
@@ -532,6 +690,31 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
                 forced_violations.append(t)
     ok = not capacity_violations and not forced_violations
     return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))
+
+
+def _peak_load(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> int:
+    """The largest total cached size at one position.
+
+    The load changes only where a run starts or ends, so it is summed over
+    the run ends in position order, ends before starts at one position,
+    instead of over every position.
+    """
+    pages = instance.pages
+    changes: list[tuple[int, int]] = []
+    for pid, rs in runs.items():
+        size = pages[pid].size
+        for s, e in rs:
+            changes += ((s, size), (e + 1, -size))
+    changes.sort()
+    return max(accumulate(change for _, change in changes), default=0)
+
+
+def _largest_request(instance: Instance) -> int:
+    """The largest size of a requested page."""
+    if instance._flush:
+        return instance._flush.size
+    pages = instance.pages
+    return max((pages[pid].size for pid in request_positions(instance)), default=0)
 
 
 def savings(instance: Instance, service: Service) -> int:
@@ -568,8 +751,11 @@ def _instance_text_parts(instance: Instance) -> list[str]:
 
     The requests of one run of equal block ids all end in the same block
     token, so a run is one join over its slice of the page column instead of
-    one string per request.
+    one string per request; an instance without blocks is one run.  A flush
+    rule's fresh pages are written as the explicit forced instance lists
+    them.
     """
+    flush = instance._flush
     lines = [
         INSTANCE_HEADER,
         f"cache {instance.capacity}",
@@ -577,8 +763,10 @@ def _instance_text_parts(instance: Instance) -> list[str]:
         f"scale {instance.cost_scale}",
         f"pages {len(instance.pages)}",
     ]
-    for page in instance.pages.values():
+    for page in (flush.base.pages if flush else instance.pages).values():
         lines.append(f"{page.id} {page.size} {page.cost}")
+    if flush:
+        lines += (f"{pid} {flush.size} {flush.cost}" for pid in flush.fresh_ids())
     lines.append(f"blocks {len(instance.blocks)}")
     for b in instance.blocks:
         if b.kind == BLOCK_PHASE:
@@ -587,6 +775,10 @@ def _instance_text_parts(instance: Instance) -> list[str]:
             lines.append(f"{b.id} {_block_kind_token(b)}")
     lines.append(f"requests {instance.num_requests}")
     parts = ["\n".join(lines) + "\n"]
+    if not instance.blocks:  # every request is outside all blocks
+        if instance.num_requests:
+            parts += (" -\n".join(_page_column(instance)), " -\n")
+        return parts
     pages = instance.request_pages
     for b, lo, hi in _block_runs(instance.request_blocks):
         end = f" {b}\n" if b >= 0 else " -\n"

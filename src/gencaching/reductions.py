@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Mapping
 
 from .core import (
@@ -55,7 +55,7 @@ from .core import (
     Instance,
     InstanceError,
     Page,
-    _gc_paused,
+    _FlushTable,
     _instance_text_parts,
     _LineReader,
     _read_instance,
@@ -359,7 +359,6 @@ def reduce_simple(graph: Graph) -> ReductionOutput:
     return generate(graph, MODEL_SIMPLE)
 
 
-@_gc_paused()
 def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
     """Make the forced-policy instance with the same optimal savings.
 
@@ -368,6 +367,11 @@ def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
     cache would otherwise give.  New pages are requested once each, so they
     are never cacheable; their cost is 1 (fault/simple), or M under the bit
     model's cost-equals-size rule.
+
+    The fresh requests are one rule, id prefix, size M and cost (see
+    `core._FlushTable`): the forced instance shares the source's two request
+    columns and its request index, and stores no page, column entry or index
+    entry per fresh request.  Its text is that of the explicit instance.
     """
     model = source.model if isinstance(source, ReductionOutput) else None
     inst = source.instance if isinstance(source, ReductionOutput) else source
@@ -378,13 +382,9 @@ def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
     base = "q"
     while any(pid.startswith(base) for pid in inst.pages):
         base += "q"
-    fresh = [f"{base}{k}" for k in range(inst.num_requests)]
-    table = dict(inst.pages)
-    table.update((pid, Page(pid, M, cost)) for pid in fresh)
-    request_pages = tuple(chain.from_iterable(zip(inst.request_pages, fresh)))
     return Instance(
-        inst.capacity + M, table, request_pages, array("i", [-1]) * len(request_pages), (),
-        FORCED, inst.cost_scale,
+        inst.capacity + M, _FlushTable(inst, base, M, cost), inst.request_pages,
+        inst.request_blocks, (), FORCED, inst.cost_scale,
     )
 
 

@@ -53,6 +53,7 @@ from .core import (
     Gap,
     Instance,
     Service,
+    _explicit,
     _gc_paused,
     _Rows,
     enumerate_gaps,
@@ -177,8 +178,10 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     holds more than 2^k masks, so the dense sweeps run only where the dict
     DP could not have hit the budget, and all three backends break ties
     alike: the result (optimum, witness and counters) and the refusals do
-    not depend on which runs.
+    not depend on which runs.  A forced instance from `optional_to_forced`
+    is swept with its fresh requests written out (`core._explicit`).
     """
+    instance = _explicit(instance)
     plan = _slot_plan(instance)
     if 1 << plan.width <= budget:
         if plan.cells < NUMPY_MIN_CELLS:
@@ -557,8 +560,10 @@ def solve_brute_force(instance: Instance) -> SolveResult:
 
     Ties are broken towards the lexicographically smallest chosen-gap tuple
     (gaps ordered by page id, then ordinal).  `states` counts the subsets
-    and `transitions` the valid ones.
+    and `transitions` the valid ones.  Fresh requests held as a rule are
+    written out first, as in `solve_exact`.
     """
+    instance = _explicit(instance)
     # Every request but a page's first ends one gap.
     g = instance.num_requests - len(request_positions(instance))
     if g > BRUTE_FORCE_GAP_GUARD:

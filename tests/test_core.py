@@ -293,8 +293,10 @@ def test_reading_a_reduction_peaks_a_few_bytes_per_request():
 
 
 def test_validating_a_service_peaks_a_few_bytes_per_request():
-    # The loads are summed from one array of load steps as they are read; a
-    # list of steps and a list of loads peaked at about 18 bytes per request.
+    # A valid service's peak load is read at its runs' ends; past the
+    # capacity the loads are summed from one array of load steps as they are
+    # read.  A list of steps and a list of loads peaked at about 18 bytes per
+    # request.
     out = generate(CORPUS["K3"], "bit", 8)
     svc = construct_service_from_is(out, [0])  # builds the request index, as in the pipeline
     report, peak = _peak(lambda: validate_service(out.instance, svc))
@@ -312,15 +314,28 @@ def test_packing_takes_a_few_bytes_per_gap():
     assert retained / len(packing.intervals) < 32
 
 
-def test_forced_index_stores_a_fresh_page_as_its_position():
-    # Each fresh page of a forced instance is requested once; one array per
-    # fresh page took about 135 bytes.
+def test_forced_index_stores_nothing_per_fresh_page():
+    # The forced index reads the optional instance's index, positions
+    # doubled, and makes a fresh page's one-element array on access.  Each
+    # fresh page stored as its bare position took about 70 bytes, and one
+    # array per fresh page about 135.
     out = generate(CORPUS["K3"], "bit", 8)
+    request_positions(out.instance)  # built before, as by check_properties
     forced = optional_to_forced(out)
     index, retained = _retained(lambda: request_positions(forced))
     fresh = out.instance.num_requests
     assert len(index) == len(out.instance.pages) + fresh
-    assert retained / fresh < 96
+    assert index[f"q{fresh - 1}"] == array("i", [2 * fresh - 1])
+    assert retained < 1024
+
+
+def test_forced_transform_stores_nothing_per_request():
+    # The fresh requests are one rule; one slotted Page per fresh request
+    # retained about 170 bytes each.
+    out = generate(CORPUS["K3"], "fault", 8)
+    forced, retained = _retained(lambda: optional_to_forced(out))
+    assert forced.num_requests == 2 * out.instance.num_requests
+    assert retained * 1000 / out.instance.num_requests < 1024
 
 
 # --- garbage collector ----------------------------------------------------

@@ -3,24 +3,33 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencaching import (
     CORPUS,
     FORCED,
+    BudgetExceeded,
     FormatError,
     Graph,
     InstanceError,
+    InvalidServiceError,
     MODEL_BIT,
     MODEL_FAULT,
     MODEL_SIMPLE,
     OPTIONAL,
+    Service,
+    UnknownGapError,
     default_H,
     edge_page_id,
+    enumerate_gaps,
     generate,
     graph_from_text,
     graph_to_text,
+    instance_from_text,
     instance_to_text,
     make_instance,
     optional_to_forced,
@@ -29,8 +38,11 @@ from gencaching import (
     reduce_simple,
     reduction_from_text,
     reduction_to_text,
+    request_positions,
+    savings,
     solve_brute_force,
     solve_exact,
+    validate_service,
     vertex_page_id,
 )
 from gencaching.reductions import BLOCK_INSERTED
@@ -259,6 +271,20 @@ FORCED_DIGESTS = {
 }
 
 
+# The same for instance_to_text(optional_to_forced(...)) of bit at H=1 and
+# fault at H=2.
+FORCED_MORE_DIGESTS = {
+    "C4": "1942f626bc433acd c24c6a489e71d10f",
+    "C5": "610194cc201896fd 152320273278ee2c",
+    "K1_3": "0db8c79578019d2b a7d63a6a3f079aee",
+    "K2": "41d3166d2df3bb57 711ae8ef402ef3fd",
+    "K3": "4581bb18cd5311c2 a47fd95ef362da6e",
+    "K4": "a9ebf484c4da9d03 d6a5e4341fe06d3d",
+    "P3": "8697ae422210a0f4 5a20b0468293cd45",
+    "P4": "fccf8990c090848c 5d8bb465ec1cfa53",
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -277,6 +303,10 @@ def test_generator_bytes_pinned(name):
         for run in [(MODEL_SIMPLE, 1), (MODEL_FAULT, 1)]
     ]
     assert tuple(map(_digest, forced)) == tuple(FORCED_DIGESTS[name].split())
+    forced = [
+        instance_to_text(optional_to_forced(outputs[run])) for run in [(MODEL_BIT, 1), (MODEL_FAULT, 2)]
+    ]
+    assert tuple(map(_digest, forced)) == tuple(FORCED_MORE_DIGESTS[name].split())
 
 
 # --- bit reduction ------------------------------------------------------------
@@ -444,6 +474,76 @@ def test_forced_transform_bit_cost_rule():
         p for p in forced_fault.pages.values() if p.id not in fault.instance.pages
     ]
     assert all(p.cost == 1 and p.size == 3 for p in fresh_fault)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (BudgetExceeded, InvalidServiceError, UnknownGapError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_rule_matches_explicit_twin(optional, forced, services, solvers=()):
+    """The forced instance, with its fresh requests as a rule, answers as the
+    explicit instance read back from its text: requests, request index,
+    validation and savings of each service, and each of `solvers`."""
+    twin = instance_from_text(instance_to_text(forced))
+    assert forced.num_requests == twin.num_requests == 2 * optional.num_requests
+    assert list(forced.requests) == list(twin.requests)
+    assert list(request_positions(forced).items()) == list(request_positions(twin).items())
+    assert dict(forced.pages) == dict(twin.pages)
+    for service in services:
+        assert _outcome(validate_service, forced, service) == _outcome(validate_service, twin, service)
+        assert _outcome(savings, forced, service) == _outcome(savings, twin, service)
+    for solver in solvers:
+        assert _outcome(solver, forced) == _outcome(solver, twin)
+
+
+def random_services(instance, rng, count):
+    """The empty service, two that name gaps the forced instance does not
+    have, and `count` random gap subsets of `instance`, dense and sparse."""
+    gaps = enumerate_gaps(instance)
+    services = [Service(), Service.of([("q0", 0)]), Service.of([(gaps[0].page, 10**6)] if gaps else [])]
+    for i in range(count):
+        keep = (0.02, 0.1, 0.3, 0.6)[i % 4]
+        services.append(Service.of((g.page, g.ordinal) for g in gaps if rng.random() < keep))
+    return services
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize(
+    "model, H", [(MODEL_FAULT, 1), (MODEL_BIT, 1), (MODEL_SIMPLE, 1), (MODEL_FAULT, 2), (MODEL_BIT, 2)]
+)
+def test_forced_rule_matches_its_explicit_twin_on_the_corpus(name, model, H):
+    out = generate(CORPUS[name], model, H)
+    rng = random.Random(f"{name} {model} {H}")
+    services = random_services(out.instance, rng, 12)
+    index = request_positions(out.instance)
+    services.append(Service({pid: ((0, len(pos) - 2),) for pid, pos in index.items() if len(pos) > 1}))
+    # The DP's k grows with H and the graph, so only the smaller cases are
+    # solved, and their optimal witness validated; brute force is compared
+    # on the tiny instances below.
+    solvers = ()
+    if H == 1 and name not in ("C5", "K4"):
+        services.append(solve_exact(out.instance).witness)
+        solvers = (solve_exact,)
+    assert_rule_matches_explicit_twin(out.instance, optional_to_forced(out), services, solvers)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+    st.lists(st.integers(0, 4), max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_forced_rule_matches_its_explicit_twin_hypothesis(capacity, pages, picks, rng):
+    table = [(f"p{i}", size, cost) for i, (size, cost) in enumerate(pages)]
+    inst = make_instance(capacity, table, [(f"p{i % len(pages)}", None) for i in picks], ())
+    services = random_services(inst, rng, 8)
+    solvers = (solve_exact, solve_brute_force)
+    assert_rule_matches_explicit_twin(inst, optional_to_forced(inst), services, solvers)
 
 
 def test_forced_transform_rejects_forced_input():
