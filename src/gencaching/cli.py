@@ -16,7 +16,6 @@ from .core import (
 )
 from .harness import (
     CORPUS,
-    ROUND_TRIP_STATE_BUDGET,
     max_independent_set,
     reports_to_csv,
     reports_to_table,
@@ -221,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--graph", required=True)
     rt.add_argument("--model", choices=MODELS, default=MODEL_SIMPLE)
     rt.add_argument("--H", type=int, default=None)
-    rt.add_argument("--budget", type=int, default=ROUND_TRIP_STATE_BUDGET)
+    rt.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     rt.set_defaults(func=_cmd_roundtrip)
 
     corpus = sub.add_parser("corpus", help="round trips over the built-in corpus")
     corpus.add_argument("--models", default=MODEL_SIMPLE, help="comma-separated models")
     corpus.add_argument("--H", type=int, default=None, help="group count (default: proven value)")
-    corpus.add_argument("--budget", type=int, default=ROUND_TRIP_STATE_BUDGET)
+    corpus.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     corpus.add_argument("--out", default=None, help="also write the CSV report here")
     corpus.set_defaults(func=_cmd_corpus)
 

@@ -7,10 +7,12 @@ independent set.  K_caching = K_oracle is asserted for the simple model
 (where the inversion is exact for every H >= 1); fault/bit runs assert the
 sandwich threshold(K_oracle) <= optimal <= threshold(0) + n instead.  Every
 solved row reports its excess, optimal - threshold(K_oracle): the saving an
-optimum finds beyond the one the independent set encodes.  When
-the exact solve exceeds its state budget the run downgrades to constructing
-and validating the easy-direction service (verdict suffix `-easy-only`); an
-invalid service makes a `fail-easy-only` row with no savings (`optimal` None).
+optimum finds beyond the one the independent set encodes.  The exact solve
+runs at `DEFAULT_STATE_BUDGET` by default.  Where the instance's 2^k slot
+masks pass the budget, `solve_exact` refuses from its slot plan before any
+sweep, and the run downgrades to constructing and validating the
+easy-direction service (verdict suffix `-easy-only`); an invalid service
+makes a `fail-easy-only` row with no savings (`optimal` None).
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from typing import Iterable, Sequence
 from .core import InvalidServiceError, savings, validate_service
 from .properties import check_properties, construct_service_from_is, extract_is
 from .reductions import Graph, MODEL_SIMPLE, generate
-from .solver import BudgetExceeded, solve_exact
+from .solver import DEFAULT_STATE_BUDGET, BudgetExceeded, solve_exact
 
 MAX_ORACLE_VERTICES = 24
-ROUND_TRIP_STATE_BUDGET = 200_000
 
 CORPUS: dict[str, Graph] = {
     "K2": Graph(2, ((0, 1),)),
@@ -95,7 +96,7 @@ def round_trip(
     model: str,
     H: int | None = None,
     *,
-    budget: int = ROUND_TRIP_STATE_BUDGET,
+    budget: int = DEFAULT_STATE_BUDGET,
     graph_id: str = "",
 ) -> RoundTripReport:
     started = time.perf_counter()
@@ -145,7 +146,7 @@ def run_corpus(
     models: Sequence[str] = (MODEL_SIMPLE,),
     *,
     H: int | None = None,
-    budget: int = ROUND_TRIP_STATE_BUDGET,
+    budget: int = DEFAULT_STATE_BUDGET,
 ) -> list[RoundTripReport]:
     """round_trip over every (graph, model) pair, in corpus order."""
     reports = []

@@ -13,19 +13,17 @@ k, the most L_t, is the largest number of gaps open at one boundary, far
 below the page count, and the sweep is exponential only in k, not in the
 request count.
 
-Three backends run the same sweep.  `_solve_dict` keeps a dict of reachable
-masks; each state carries its chosen gaps forward as a chain of the positions
-where they open, shared with the states it came from.  `_solve_dense` keeps
-every layer as numpy arrays of 2^k entries, reads only the first 2^L_t, and
-keeps one decision bit per live mask; it walks back from the empty mask for
-the witness.  `_solve_packed` runs the dense sweep on Python ints of 2^L_t
-bit fields, one per live mask, and walks back alike.  `solve_exact` runs
-the packed sweep where 2^k is within the state budget and the plan's live
-cells, the sum of 2^L_t, are below `NUMPY_MIN_CELLS`, numpy above it where
-numpy is installed, and the dict DP everywhere else.  All three explore the
-same reachable masks and give ties to the predecessor that held the
-requested page, so the optimum, the witness and the counters do not depend
-on the choice.
+Two backends run the same sweep.  `_solve_packed` keeps a layer as Python
+ints of 2^L_t bit fields, one per live mask; `_solve_dense` keeps it as numpy
+arrays of 2^k entries and reads only the first 2^L_t.  Both keep one
+decision per live mask where the page was requested before, and walk back
+from the empty mask for the witness.  `solve_exact` refuses from the plan alone, before any sweep, when
+the 2^k masks pass the state budget.  Otherwise it runs numpy's sweep where
+the plan's live cells, the sum of 2^L_t, reach `NUMPY_MIN_CELLS` and numpy
+imports, and the packed sweep everywhere else.  Both explore the same
+reachable masks and give ties to the predecessor that held the requested
+page, so the optimum, the witness and the counters do not depend on the
+choice.
 
 `solve_brute_force` is the independent oracle for the DP, guarded to small gap
 counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
@@ -43,7 +41,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from . import core
@@ -54,7 +52,6 @@ from .core import (
     Instance,
     Service,
     _explicit,
-    _gc_paused,
     _Rows,
     enumerate_gaps,
     request_positions,
@@ -167,125 +164,34 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
 def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Optimal savings plus a witness service, by the boundary-state sweep.
 
-    `budget` caps the number of states in any single layer; exceeding it
-    raises BudgetExceeded (never a wrong answer).  With k slots, the packed
-    sweep runs iff 2^k <= budget and the plan's live cells are below
-    NUMPY_MIN_CELLS, numpy's dense sweep iff 2^k <= budget, the live cells
-    reach NUMPY_MIN_CELLS and numpy can be imported, and the dict DP
-    otherwise.  Without numpy the large layers stay with the dict DP, whose
-    memory the budget bounds: the packed sweep keeps w bits per live mask at
-    every decision position, 449 MiB for `fault` K4 at H=2.  A layer never
-    holds more than 2^k masks, so the dense sweeps run only where the dict
-    DP could not have hit the budget, and all three backends break ties
-    alike: the result (optimum, witness and counters) and the refusals do
-    not depend on which runs.  A forced instance from `optional_to_forced`
-    is swept with its fresh requests written out (`core._explicit`).
+    `budget` caps the masks of one layer.  With k slots a layer may hold
+    2^k, so 2^k > budget raises BudgetExceeded from the slot plan, in O(n)
+    and before any sweep (never a wrong answer).  Otherwise numpy's dense
+    sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS and numpy
+    can be imported, and the packed sweep in every other case.  Without
+    numpy the large cases take the packed sweep too, whose decision bits
+    grow with the live cells: w bits per live mask at every position whose
+    page was requested before, 449 MiB for `fault` K4 at H=2.  Both sweeps
+    break ties alike, so the result (optimum, witness and counters) and the
+    refusals do not depend on which runs.  A forced instance from
+    `optional_to_forced` is swept with its fresh requests written out
+    (`core._explicit`).
     """
     instance = _explicit(instance)
     plan = _slot_plan(instance)
-    if 1 << plan.width <= budget:
-        if plan.cells < NUMPY_MIN_CELLS:
-            return _solve_packed(instance, plan)
+    if 1 << plan.width > budget:
+        raise BudgetExceeded(
+            f"{plan.width} slots give 2^{plan.width} masks, past the budget of {budget} states"
+            f" ({plan.cells} live cells)"
+        )
+    if plan.cells >= NUMPY_MIN_CELLS:
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
         except ImportError:
             pass
         else:
             return _solve_dense(instance, plan)
-    return _solve_dict(instance, plan, budget)
-
-
-def _solve_dict(instance: Instance, plan: _SlotPlan, budget: int) -> SolveResult:
-    """The sweep over a dict of reachable masks, with shared witness chains.
-
-    Only the current and the next layer are alive, and a layer is refused
-    as soon as it passes the budget, so the budget bounds memory too: two
-    layers of states plus their shared chains.  A mask has at most two
-    predecessors, one holding p and one not; on equal savings the one that
-    held p wins, as in the dense sweeps.
-    """
-    request_pages = instance.request_pages
-    pages = instance.pages
-    cap = instance.capacity
-    forced = instance.policy == FORCED
-    # A layer maps mask -> (best savings, cached size, chain) after deciding
-    # position t.  A chain is None or a cell (t, rest): the gap opened at t
-    # was chosen.  Cells are shared between states and hold only ints, None
-    # and other cells, so they form no reference cycles; the cyclic collector
-    # is paused during the sweep, since the long-lived cells would otherwise
-    # trigger many full collections.
-    cur: dict[int, tuple] = {0: (0, 0, None)}
-    states = transitions = peak = peak_at = 0
-    with _gc_paused():
-        for t, ((slot, can_open, _, _, move), pid) in enumerate(zip(plan.rows, request_pages)):
-            page = pages[pid]
-            sizep = page.size
-            costp = page.cost
-            bit = 1 << slot if slot >= 0 else 0
-            nxt: dict[int, tuple] = {}
-            todo = iter(cur.items())
-            left = len(cur)
-            while left:
-                # A state adds at most two masks to nxt, so a run of
-                # (budget - len(nxt)) // 2 states cannot pass the budget
-                # unseen, and a refused layer holds at most budget + 2 states.
-                run = min(left, max((budget - len(nxt)) // 2, 1))
-                left -= run
-                for mask, state in islice(todo, run):
-                    sav, size, chain = state
-                    if mask & bit:
-                        # p is cached, so serving it saves its cost.  Close:
-                        # evict p after serving.  Open: keep it for its next gap.
-                        gain = sav + costp
-                        m2 = mask & ~bit
-                        transitions += 1
-                        old = nxt.get(m2)
-                        if old is None or gain >= old[0]:
-                            nxt[m2] = (gain, size - sizep, chain)
-                        if can_open:
-                            transitions += 1
-                            old = nxt.get(mask)
-                            if old is None or gain >= old[0]:
-                                nxt[mask] = (gain, size, (t, chain))
-                    else:
-                        # Close leaves the state as it is; under forced, serving
-                        # the uncovered p must fit next to the current occupancy.
-                        # Open must fit p into the cache until its next request.
-                        fits = size + sizep <= cap
-                        if fits or not forced:
-                            transitions += 1
-                            old = nxt.get(mask)
-                            if old is None or sav > old[0]:
-                                nxt[mask] = state
-                        if can_open and fits:
-                            transitions += 1
-                            m3 = mask | bit
-                            old = nxt.get(m3)
-                            if old is None or sav > old[0]:
-                                nxt[m3] = (sav, size + sizep, (t, chain))
-                if len(nxt) > budget:
-                    raise BudgetExceeded(f"layer {t} passes the budget of {budget} states")
-            if move >= 0:
-                # p's slot is clear in every mask: the top slot's page moves in.
-                top = 1 << move
-                for mask in [mask for mask in nxt if mask & top]:
-                    nxt[mask ^ top | bit] = nxt.pop(mask)
-            reach = len(nxt)
-            if not reach:
-                raise BudgetExceeded(f"no feasible state at position {t}")
-            states += reach
-            if reach > peak:
-                peak, peak_at = reach, t
-            cur = nxt
-
-    # No page is requested after the last position, so every gap has closed
-    # and the final layer holds the empty mask alone.
-    best, _, chain = cur[0]
-    chosen: list[tuple[str, int]] = []
-    while chain is not None:
-        t, chain = chain
-        chosen.append((request_pages[t], plan.rows[t][2]))
-    return SolveResult(best, Service.of(chosen), SolveStats(states, transitions, peak, peak_at))
+    return _solve_packed(instance, plan)
 
 
 def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:

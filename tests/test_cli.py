@@ -177,3 +177,12 @@ def test_bad_sidecar_is_reported_as_such(tmp_path, capsys):
     red.write_text(red.read_text().replace("model fault", "model faulty"))
     assert main(["solve", "--in", str(red)]) == 2
     assert "unknown model" in capsys.readouterr().err
+
+
+def test_solve_refuses_k4_at_h3_from_the_slot_plan(tmp_path, capsys):
+    red = tmp_path / "k4.reduction"
+    assert main(["gen", "--graph", "K4", "--model", "fault", "--H", "3", "--out", str(red)]) == 0
+    assert main(["solve", "--in", str(red)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 31 slots give 2^31 masks, past the budget of 5000000 states")

@@ -11,7 +11,6 @@ import pytest
 from gencaching import (
     BudgetExceeded,
     CORPUS,
-    DEFAULT_STATE_BUDGET,
     MODEL_SIMPLE,
     MODELS,
     Graph,
@@ -26,9 +25,10 @@ from gencaching import (
     Service,
     savings,
 )
-from gencaching import harness
+from gencaching import harness, solver
 from gencaching.harness import MAX_ORACLE_VERTICES, REPORT_COLUMNS
-from gencaching.solver import _slot_plan, _solve_dense, _solve_dict, _solve_packed
+from gencaching.solver import _slot_plan, _solve_dense, _solve_packed
+from reference_dp import solve_dict
 
 EXPECTED_MIS = {
     "K2": (1, {0}),
@@ -87,6 +87,18 @@ def test_round_trip_downgrades_to_easy_direction_on_budget():
     # d = 4*3*3 + 2; the easy-direction service still earns the threshold.
     assert report.d == 38
     assert report.optimal == 37 * 3 * 3 + 1
+
+
+def test_round_trip_refuses_k4_at_h3_before_any_sweep(monkeypatch):
+    # `fault` K4 at H=3 has 31 slots: at the default budget solve_exact
+    # refuses from its slot plan, and the row is the easy direction's.
+    used = []
+    for name in ("_solve_packed", "_solve_dense"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: used.append(name))
+    report = round_trip(CORPUS["K4"], "fault", 3)
+    assert report.verdict == "pass-easy-only"
+    assert report.k_caching is None and report.k_oracle == 1
+    assert used == []
 
 
 def test_invalid_easy_direction_service_is_a_failed_row(monkeypatch):
@@ -179,8 +191,8 @@ def labelled_graphs(max_n: int):
 @pytest.mark.parametrize("model", MODELS)
 def test_every_small_labelled_graph_round_trips(model):
     """The 75 graphs with n <= 4 at H=1: checks (a)-(f), the sandwich bounds,
-    `simple` exactness, and the dict DP, the packed sweep and the dense sweep
-    return equal results."""
+    `simple` exactness, and the reference dict DP, the packed sweep and the
+    dense sweep return equal results."""
     dense = importlib.util.find_spec("numpy") is not None
     for graph in labelled_graphs(4):
         out = generate(graph, model, 1)
@@ -188,7 +200,7 @@ def test_every_small_labelled_graph_round_trips(model):
         assert check_properties(out).all_ok, graph
         k_oracle, _ = max_independent_set(graph)
         plan = _slot_plan(inst)
-        result = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+        result = solve_dict(inst, plan)
         best = result.optimal_savings
         assert savings(inst, result.witness) == best  # raises on an invalid witness
         if model == MODEL_SIMPLE:

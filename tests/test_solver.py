@@ -46,10 +46,10 @@ from gencaching.solver import (
     _feasible_subsets,
     _slot_plan,
     _solve_dense,
-    _solve_dict,
     _solve_packed,
 )
 from randgen import gap_pairs, random_tiny_instance
+from reference_dp import solve_dict
 
 
 def bare(capacity, pages, reqs, policy=OPTIONAL):
@@ -111,28 +111,22 @@ def test_exact_budget_exhaustion_raises():
         solve_exact(inst, budget=1)
 
 
-def test_dict_dp_refuses_a_layer_as_it_passes_the_budget():
-    # Twelve pages requested twice: the layer after position t holds 2^(t+1)
-    # masks, so with a budget of 2^11 the layer after position 11 doubles past
-    # it.  Refusing as it passes the budget keeps two layers of the budget's
-    # size (about 180 bytes per budget state); building the refused layer
-    # whole would keep three (about 290).
+def test_solve_exact_refuses_from_the_slot_plan(monkeypatch):
+    # Twelve pages requested twice: k = 12, so the 2^12 masks pass a budget
+    # of 2^11 and solve_exact refuses before either sweep runs.  So does
+    # `fault` K4 at H=3 (k = 31) at the default budget.
+    used = []
+    for name in ("_solve_packed", "_solve_dense"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: used.append(name))
     k = 12
     inst = bare(k, [(f"p{i}", 1, 1) for i in range(k)], [f"p{i}" for i in range(k)] * 2)
-    budget = 1 << (k - 1)
-    plan = _slot_plan(inst)
-    assert plan.width == k  # 2^k masks exceed the budget: the dict DP runs
-    # Fills the tuple free lists, which tracemalloc counts as held; with the
-    # default budget solve_exact would run the packed sweep instead.
-    _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded, match=f"layer {k - 1} "):
-            solve_exact(inst, budget=budget)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 240 * budget
+    want = r"^12 slots give 2\^12 masks, past the budget of 2048 states \(16380 live cells\)$"
+    with pytest.raises(BudgetExceeded, match=want):
+        solve_exact(inst, budget=1 << (k - 1))
+    want = rf"^31 slots give 2\^31 masks, past the budget of {DEFAULT_STATE_BUDGET} states"
+    with pytest.raises(BudgetExceeded, match=want):
+        solve_exact(generate(CORPUS["K4"], "fault", 3).instance)
+    assert used == []
 
 
 def test_brute_force_gap_guard(monkeypatch):
@@ -334,10 +328,10 @@ HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def assert_backends_agree(inst):
-    """The dict DP, the packed sweep and (with numpy) the dense sweep return
-    equal results: optimum, witness and all four counters."""
+    """The reference dict DP, the packed sweep and (with numpy) the dense
+    sweep return equal results: optimum, witness and all four counters."""
     plan = _slot_plan(inst)
-    ref = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+    ref = solve_dict(inst, plan)
     others = [_solve_packed(inst, plan)]
     if HAVE_NUMPY:
         others.append(_solve_dense(inst, plan))
@@ -385,15 +379,15 @@ def test_packed_and_dict_sweeps_agree_hypothesis(policy, capacity, pages, picks)
         capacity = max([capacity] + [size for size, _ in pages])
     inst = bare(capacity, table, [f"p{i % len(pages)}" for i in picks], policy)
     plan = _slot_plan(inst)
-    dict_result = _solve_dict(inst, plan, DEFAULT_STATE_BUDGET)
+    dict_result = solve_dict(inst, plan)
     assert _solve_packed(inst, plan) == dict_result
     if HAVE_NUMPY:
         assert _solve_dense(inst, plan) == dict_result
     assert savings(inst, dict_result.witness) == dict_result.optimal_savings
 
 
-# C5 and K4 at H=2 are left out: the dict DP takes about 8 s (C5 fault),
-# 24 s (C5 bit) and 10 minutes (K4) on them.
+# C5 and K4 at H=2 are left out: the reference dict DP takes about 8 s (C5
+# fault), 24 s (C5 bit) and 10 minutes (K4) on them.
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_dense_and_dict_backends_agree_on_the_corpus(name):
     graph = CORPUS[name]
@@ -458,7 +452,7 @@ def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots)
 def test_solve_exact_picks_the_backend_by_size(monkeypatch):
     pytest.importorskip("numpy")
     used = []
-    for name in ("_solve_dict", "_solve_packed", "_solve_dense"):
+    for name in ("_solve_packed", "_solve_dense"):
 
         def spy(*args, real=getattr(solver, name), name=name):
             used.append(name)
@@ -476,29 +470,29 @@ def test_solve_exact_picks_the_backend_by_size(monkeypatch):
     assert _slot_plan(big).cells >= NUMPY_MIN_CELLS
     solve_exact(big)
     assert used[3:] == ["_solve_dense"]
-    # 2^11 masks exceed these budgets, so the dict DP runs: it refuses a
-    # budget that its widest layer (1,696 masks) passes and otherwise
-    # returns what the packed sweep returned.
-    with pytest.raises(BudgetExceeded):
-        solve_exact(mid, budget=10)
-    assert solve_exact(mid, budget=(1 << 11) - 1) == want
-    assert used[4:] == ["_solve_dict"] * 2
+    # 2^11 masks pass these budgets, so solve_exact refuses from the plan
+    # before any sweep, even where the widest layer (1,696 masks) would fit.
+    for budget in (10, (1 << 11) - 1):
+        with pytest.raises(BudgetExceeded, match=f"^11 slots .* budget of {budget} states"):
+            solve_exact(mid, budget=budget)
+    assert used[4:] == []
 
 
-def test_solve_exact_without_numpy_uses_the_dict_dp(monkeypatch):
+def test_solve_exact_without_numpy_uses_the_packed_sweep(monkeypatch):
     # Above NUMPY_MIN_CELLS (lowered here so that a small case passes it)
-    # the dict DP runs when numpy cannot be imported.
+    # the packed sweep runs when numpy cannot be imported.
     inst = generate(CORPUS["K3"], "fault", 2).instance  # 241,404 live cells
     want = solve_exact(inst)
     monkeypatch.setattr(solver, "NUMPY_MIN_CELLS", 1 << 17)
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises ImportError
     used = []
-    real = solver._solve_dict
-    monkeypatch.setattr(solver, "_solve_dict", lambda *args: used.append(args) or real(*args))
+    real = solver._solve_packed
+    monkeypatch.setattr(solver, "_solve_packed", lambda *args: used.append(args) or real(*args))
     assert solve_exact(inst) == want
     assert len(used) == 1
     with pytest.raises(BudgetExceeded):
         solve_exact(inst, budget=10)
+    assert len(used) == 1
 
 
 def test_packed_solve_leaves_numpy_unloaded():
