@@ -23,7 +23,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, count, groupby, repeat
 from operator import countOf
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -94,10 +94,6 @@ class Request(NamedTuple):
     position: int
     page: str
     block: int | None
-
-
-def _request(t: int, pid: str, b: int) -> Request:
-    return Request(t, pid, None if b < 0 else b)
 
 
 class _Rows(Sequence):
@@ -238,6 +234,11 @@ class _FlushTable(Mapping[str, Page]):
             return int(t)
         return -1
 
+    def page_at(self, t: int) -> str:
+        """The page id at position t (0 <= t < 2 * the base's request count)."""
+        u, fresh = divmod(t, 2)
+        return self.prefix + str(u) if fresh else self.base.request_pages[u]
+
     def column(self) -> Iterator[str]:
         """The page id at every position: base request t, then fresh page t."""
         return chain.from_iterable(zip(self.base.request_pages, self.fresh_ids()))
@@ -293,6 +294,40 @@ class _FlushIndex(Mapping[str, array]):
             yield pid
             t = pos[0]
         yield from fresh_ids(t)
+
+
+class _RequestView(Sequence):
+    """`Instance.requests`: one `Request` per position, made on access.
+
+    Iterating makes each row in C, from the page column, the block column
+    (None for -1) and the positions, with no Python frame per row.
+    Negative indices and IndexError behave as for a tuple, and a slice is a
+    list.
+    """
+
+    __slots__ = ("_instance",)
+
+    def __init__(self, instance: Instance) -> None:
+        self._instance = instance
+
+    def __len__(self) -> int:
+        return self._instance.num_requests
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self.__getitem__, range(len(self))[index]))
+        t = range(len(self))[index]
+        inst = self._instance
+        if inst._flush:
+            return Request(t, inst._flush.page_at(t), None)
+        b = inst.request_blocks[t]
+        return Request(t, inst.request_pages[t], None if b < 0 else b)
+
+    def __iter__(self) -> Iterator[Request]:
+        inst = self._instance
+        column = inst.request_blocks
+        blocks = repeat(None) if inst._flush else map({-1: None}.get, column, column)
+        return map(tuple.__new__, repeat(Request), zip(count(), _page_column(inst), blocks))
 
 
 @dataclass(frozen=True)
@@ -397,14 +432,10 @@ class Instance:
         """The requests as `Request(position, page, block)` tuples, made on access.
 
         A read-only view for callers that want one record per request; the
-        package itself reads the two columns.  Under a flush rule the view
-        holds its own page column, one id per position.
+        package itself reads the two columns.  Under a flush rule it reads
+        the rule per position.
         """
-        pages, blocks = self.request_pages, self.request_blocks
-        if self._flush:
-            pages = tuple(self._flush.column())
-            blocks = array("i", [-1]) * len(pages)
-        return _Rows(_request, range(len(pages)), pages, blocks)
+        return _RequestView(self)
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
@@ -586,10 +617,15 @@ def _explicit(instance: Instance) -> Instance:
 
 @_gc_paused()
 def enumerate_gaps(instance: Instance) -> list[Gap]:
-    """Every gap of every page, ordered by (page id, ordinal)."""
+    """Every gap of every page, ordered by (page id, ordinal).
+
+    Under a flush rule only the base's pages have gaps, since each fresh page
+    is requested once; their positions are read doubled.
+    """
     by_page = request_positions(instance)
+    flush = instance._flush
     gaps: list[Gap] = []
-    for pid in sorted(by_page):
+    for pid in sorted(request_positions(flush.base) if flush else by_page):
         pos = by_page[pid].tolist()  # one int per position, shared by the gaps it bounds
         for k in range(len(pos) - 1):
             gaps.append(Gap(pid, k, pos[k], pos[k + 1]))
@@ -835,16 +871,32 @@ class _LineReader:
             return int(token)
         raise self.error(f"{what} must be a non-negative integer, got {token!r}")
 
+    def ahead(self, most: int | None = None) -> list[str]:
+        """The lines from the cursor to the end of its chunk, at most `most`
+        (None: no limit), moving to the next chunk when the cursor's is used
+        up; empty at the end of the text.  The cursor does not move."""
+        while self.lineno - self._base == len(self._lines):
+            if not self._next_chunk():
+                return []
+        i = self.lineno - self._base
+        return self._lines[i : None if most is None else i + most]
+
+    def split(self, line: str, allowed: tuple[int, ...], shape: str) -> list[str]:
+        """The fields of `line`, the line just read, which has one of the
+        `allowed` field counts; empty for a blank line."""
+        parts = line.split()
+        if parts and len(parts) not in allowed:
+            raise self.error(f"expected '{shape}', got {' '.join(parts)!r}")
+        return parts
+
     def at_end(self) -> bool:
         """Skip blank lines; true when nothing else is left."""
-        while True:
-            lines, base = self._lines, self._base
-            while self.lineno - base < len(lines):
-                if lines[self.lineno - base].strip():
+        while lines := self.ahead():
+            for line in lines:
+                if line.strip():
                     return False
                 self.lineno += 1
-            if not self._next_chunk():
-                return True
+        return True
 
     def keyword(self, name: str, argc: int) -> list[str]:
         """The `argc` arguments of the next line, which must read `name arg...`."""
@@ -874,28 +926,79 @@ class _LineReader:
         `reduction_from_text` 1.2-1.4x slower.
         """
         allowed = (fields,) if isinstance(fields, int) else fields
-        left = -1 if count is None else count  # -1 counts down without reaching 0
-        while left:
-            for line in self._lines[self.lineno - self._base :]:
-                self.lineno += 1
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) not in allowed:
-                    raise self.error(f"expected '{shape}', got {' '.join(parts)!r}")
-                yield parts
-                left -= 1
-                if not left:
-                    return
-            if not self._next_chunk():
+        left = count
+        while left != 0:  # None never reaches 0
+            lines = self.ahead(left)
+            if not lines:
                 if count is None:
                     return
                 raise FormatError(f"unexpected end of input, expected '{shape}'")
+            for line in lines:  # at most `left` lines, so the count ends with them
+                self.lineno += 1
+                parts = self.split(line, allowed, shape)
+                if parts:
+                    yield parts
+                    if left is not None:
+                        left -= 1
 
     def end(self, what: str) -> None:
         if not self.at_end():
             self.lineno += 1
             raise self.error(f"trailing content after {what}")
+
+
+def _read_requests(
+    r: _LineReader, table: Mapping[str, Page], num_blocks: int
+) -> tuple[tuple[str, ...], array]:
+    """The `requests` section: its page column, as the table's own id strings,
+    and its block column.
+
+    Each chunk's lines go through one tight loop, which takes a line as the
+    writer writes it: a known page id and a block token (`-` or a block id in
+    decimal).  Any other line, blank, with another field count, an unknown
+    page or a token such as `007`, takes the per-line checks, which skip it,
+    read it or report it at its line number.
+    """
+    shape = "<page-id> <block|->"
+    keys = dict(zip(table, table))
+    block_ids = {str(i): i for i in range(num_blocks)}
+    block_ids["-"] = -1
+    pages: list[str] = []
+    blocks = array("i")
+    add_page, add_block = pages.append, blocks.append
+    left = r.value("requests")
+    while left:
+        lines = r.ahead(left)
+        if not lines:
+            raise FormatError(f"unexpected end of input, expected '{shape}'")
+        # lines[0] follows line `first` and `done` rows; `blank` counts its blank lines so far.
+        first, done, blank = r.lineno, len(blocks), 0
+        for line in lines:
+            try:
+                pid, blk = line.split()
+                b = block_ids[blk]
+                add_page(keys[pid])
+                add_block(b)
+                continue
+            except (ValueError, KeyError):
+                pass
+            # Each line before this one was a row or blank.
+            r.lineno = first + len(blocks) - done + blank + 1
+            parts = r.split(line, (2,), shape)
+            if not parts:
+                blank += 1
+                continue
+            pid, blk = parts
+            if pid not in keys:
+                raise r.error(f"request for unknown page {pid!r}")
+            b = r.integer(blk, "block id")  # the token is not one the writer writes
+            if b >= num_blocks:
+                raise r.error(f"request references unknown block {b}")
+            add_page(keys[pid])
+            add_block(b)
+        r.lineno = first + len(lines)
+        left -= len(blocks) - done
+    return tuple(pages), blocks
 
 
 def _read_instance(r: _LineReader) -> Instance:
@@ -929,26 +1032,10 @@ def _read_instance(r: _LineReader) -> Instance:
             blocks.append(Block(i, *spec))  # the block's own checks, reported at this line
         except InstanceError as exc:
             raise r.error(str(exc)) from exc
-    # The writer's block tokens map straight to block ids; any other token
-    # (such as 007) goes through the strict integer rule.
-    block_ids = {str(i): i for i in range(len(blocks))}
-    block_ids["-"] = -1
-    request_pages: list[str] = []
-    request_blocks = array("i")
-    for pid, blk in r.rows(r.value("requests"), 2, "<page-id> <block|->"):
-        page = table.get(pid)
-        if page is None:
-            raise r.error(f"request for unknown page {pid!r}")
-        b = block_ids.get(blk)
-        if b is None:
-            b = r.integer(blk, "block id")
-            if b >= len(blocks):
-                raise r.error(f"request references unknown block {b}")
-        request_pages.append(page.id)
-        request_blocks.append(b)
+    request_pages, request_blocks = _read_requests(r, table, len(blocks))
     try:
         return Instance(
-            capacity, table, tuple(request_pages), request_blocks, tuple(blocks), policy, scale
+            capacity, table, request_pages, request_blocks, tuple(blocks), policy, scale
         )
     except InstanceError as exc:
         raise FormatError(f"inconsistent instance: {exc}") from exc

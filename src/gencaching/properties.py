@@ -106,7 +106,12 @@ def _check_b(output: ReductionOutput) -> str:
     """(b) Each edge page is requested once per block over a contiguous block
     segment (fault/simple); under the bit model consecutive requests are
     separated by exactly one block without the page for size 2 and exactly two
-    for size 3."""
+    for size 3.
+
+    So a page's blocks are `range(first, first + step * count, step)`, which
+    is compared as a whole; a page whose blocks differ is scanned for its
+    witness.
+    """
     positions = request_positions(output.instance)
     block_of = output.instance.request_blocks.__getitem__
     bit = output.model == MODEL_BIT
@@ -117,6 +122,10 @@ def _check_b(output: ReductionOutput) -> str:
         if not p:
             return f"page {pid}: never requested"
         bs = list(map(block_of, p))
+        want = (1 if output.instance.pages[pid].size == 2 else 2) if bit else 0
+        step = want + 1
+        if bs[0] >= 0 and bs == list(range(bs[0], bs[0] + step * len(bs), step)):
+            continue
         if min(bs) < 0:
             return f"page {pid}: requested outside a block"
         # Spans are contiguous and ordered by id, so bs never decreases.
@@ -124,12 +133,10 @@ def _check_b(output: ReductionOutput) -> str:
         twice = next((b2 for b1, b2 in steps if b2 == b1), None)
         if twice is not None:
             return f"page {pid}: requested twice in block {twice}"
-        want = (1 if output.instance.pages[pid].size == 2 else 2) if bit else 0
-        bad = next((b1 for b1, b2 in steps if b2 - b1 - 1 != want), None)
-        if bad is not None:
-            if bit:
-                return f"page {pid}: separation after block {bad} is not {want}"
-            return f"page {pid}: gap in block segment after block {bad}"
+        bad = next(b1 for b1, b2 in steps if b2 - b1 - 1 != want)
+        if bit:
+            return f"page {pid}: separation after block {bad} is not {want}"
+        return f"page {pid}: gap in block segment after block {bad}"
     return ""
 
 
@@ -160,34 +167,61 @@ def _check_c(output: ReductionOutput) -> str:
 
 
 def _check_d(output: ReductionOutput) -> str:
-    """(d) Within a block, requests are grouped by edge in edge order."""
+    """(d) Within a block, requests are grouped by edge in edge order.
+
+    A block passes when its edges, -1 for a vertex page, start at 0 or more
+    and equal their sorted copy; any other block is scanned for its witness.
+    """
     request_pages = output.instance.request_pages
+    roles = output.page_roles
+    edge_of = {pid: -1 if role.edge is None else role.edge for pid, role in roles.items()}
     for b, (lo, hi) in zip(output.instance.blocks, output.instance.spans):
-        prev = -1
-        for pid in request_pages[lo:hi]:
-            j = output.page_roles[pid].edge
-            if j is None:
-                return f"block {b.id}: vertex page {pid} inside a block"
-            if j < prev:
-                return f"block {b.id}: edge {j} follows edge {prev}"
-            prev = j
+        edges = list(map(edge_of.__getitem__, request_pages[lo:hi]))
+        if edges and (edges[0] < 0 or edges != sorted(edges)):
+            prev = -1
+            for pid in request_pages[lo:hi]:
+                j = roles[pid].edge
+                if j is None:
+                    return f"block {b.id}: vertex page {pid} inside a block"
+                if j < prev:
+                    return f"block {b.id}: edge {j} follows edge {prev}"
+                prev = j
     return ""
+
+
+_EARLY = (ROLE_CARRY_FRONT, ROLE_LEAD_OUT)
+_LATE = (ROLE_LEAD_IN, ROLE_CARRY_BACK)
 
 
 def _check_e(output: ReductionOutput) -> str:
     """(e) Within a block, an edge's carry_front/lead_out requests precede its
-    lead_in/carry_back requests."""
+    lead_in/carry_back requests.
+
+    A block passes when the codes of its early and late requests, 4j + 1 and
+    4j + 3 for edge j (-1 for none), equal their sorted copy: then each edge's
+    early requests come before its late ones.  The codes are odd, so
+    `filter(None, ...)` drops only the other requests.  Any other block is
+    scanned, which also passes a block whose edges interleave but keep that
+    order.
+    """
     request_pages = output.instance.request_pages
-    early = {ROLE_CARRY_FRONT, ROLE_LEAD_OUT}
-    late = {ROLE_LEAD_IN, ROLE_CARRY_BACK}
+    roles = output.page_roles
+    code_of = {
+        pid: 4 * (-1 if role.edge is None else role.edge) + (1 if role.role in _EARLY else 3)
+        for pid, role in roles.items()
+        if role.role in _EARLY or role.role in _LATE
+    }
     for b, (lo, hi) in zip(output.instance.blocks, output.instance.spans):
+        codes = list(filter(None, map(code_of.get, request_pages[lo:hi])))
+        if codes == sorted(codes):
+            continue
         last_early: dict[int, int] = {}
         first_late: dict[int, int] = {}
         for t, pid in enumerate(request_pages[lo:hi], lo):
-            role = output.page_roles[pid]
-            if role.role in early:
+            role = roles[pid]
+            if role.role in _EARLY:
                 last_early[role.edge] = t
-            elif role.role in late and role.edge not in first_late:
+            elif role.role in _LATE and role.edge not in first_late:
                 first_late[role.edge] = t
         for j, pos in last_early.items():
             if j in first_late and pos > first_late[j]:

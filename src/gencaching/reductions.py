@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Mapping
 
 from .core import (
@@ -206,13 +206,17 @@ def edge_page_id(edge: int, group: int, role: str) -> str:
     return f"e{edge}.{group}.{role}"
 
 
-def _skeleton(graph: Graph, H: int):
+def _skeleton(
+    graph: Graph, H: int, vertex_ids: list[str], group_ids: dict[tuple[int, str], list[str]]
+):
     """The original blocks, before the `bit` weave, and the vertex requests.
 
-    Returns (meta, block_pages, before, after): per block its (kind, vertex,
-    slot) triple and its page ids in request order; and the vertex pages
-    requested outside all blocks right before (a list) and right after (one
-    page) a block, keyed by block id.
+    `vertex_ids[v]` is vertex v's page id and `group_ids[j, role]` the ids of
+    edge j's `role` pages for groups 1..H; a block's ids are slices of these
+    lists, so no id is formatted per request.  Returns (meta, block_pages,
+    before, after): per block its (kind, vertex, slot) triple and its page ids
+    in request order; and the vertex pages requested outside all blocks right
+    before (a list) and right after (one page) a block, keyed by block id.
     """
     meta: list[tuple[str, int | None, int | None]] = [(BLOCK_INITIAL, None, None)]
     anchors: dict[int, tuple[int, int, int]] = {}
@@ -220,7 +224,7 @@ def _skeleton(graph: Graph, H: int):
     after: dict[int, str] = {}
     waiting: list[str] = []  # vertex requests that go right before the next block
     for v in range(graph.n):
-        page = vertex_page_id(v)
+        page = vertex_ids[v]
         waiting.append(page)
         first = len(meta)
         for j, (a, b) in enumerate(graph.edges):
@@ -246,7 +250,7 @@ def _skeleton(graph: Graph, H: int):
     at = {key: bid for bid, key in anchors.items()}
 
     def ids(j: int, role: str, lo: int, hi: int) -> list[str]:
-        return [edge_page_id(j, i, role) for i in range(lo, hi + 1)]
+        return group_ids[j, role][lo - 1 : hi]
 
     def edge_section(j: int, bid: int) -> list[str]:
         # The per-block request pattern for edge j, before/inside/between/
@@ -258,7 +262,7 @@ def _skeleton(graph: Graph, H: int):
             mid = (ROLE_LEAD_IN, ROLE_WIDE_FRONT) if q == 1 else (ROLE_WIDE_FRONT, ROLE_CARRY_FRONT)
             return (
                 ids(j, ROLE_CARRY_FRONT, 1, i - 1)
-                + [edge_page_id(j, i, role) for role in mid]
+                + [group_ids[j, role][i - 1] for role in mid]
                 + ids(j, ROLE_LEAD_IN, i + 1, H)
                 + ids(j, ROLE_CARRY_BACK, 1, i)
             )
@@ -270,13 +274,13 @@ def _skeleton(graph: Graph, H: int):
             return (
                 ids(j, ROLE_CARRY_FRONT, i, H)
                 + ids(j, ROLE_LEAD_OUT, 1, i - 1)
-                + [edge_page_id(j, i, role) for role in mid]
+                + [group_ids[j, role][i - 1] for role in mid]
                 + ids(j, ROLE_CARRY_BACK, i + 1, H)
             )
         return ids(j, ROLE_LEAD_OUT, 1, H)
 
     block_pages = [
-        [pid for j in range(graph.m) for pid in edge_section(j, bid)]
+        list(chain.from_iterable(edge_section(j, bid) for j in range(graph.m)))
         for bid in range(len(meta))
     ]
     return meta, block_pages, before, after
@@ -299,43 +303,49 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     scale = graph.n + 1 if model == MODEL_SIMPLE else 1
     table: dict[str, Page] = {}
     roles: dict[str, PageRole] = {}
-    for v in range(graph.n):
-        pid = vertex_page_id(v)
+    vertex_ids = [vertex_page_id(v) for v in range(graph.n)]
+    for v, pid in enumerate(vertex_ids):
         table[pid] = Page(pid, 1, 1)
         roles[pid] = PageRole(ROLE_VERTEX, vertex=v)
+    group_ids = {
+        (j, role): [edge_page_id(j, i, role) for i in range(1, H + 1)]
+        for j in range(graph.m)
+        for role in EDGE_ROLE_ORDER
+    }
     for j in range(graph.m):
         for i in range(1, H + 1):
             for role in EDGE_ROLE_ORDER:
-                pid = edge_page_id(j, i, role)
+                pid = group_ids[j, role][i - 1]
                 size = ROLE_SIZES[role]
                 table[pid] = Page(pid, size, size if model == MODEL_BIT else scale)
                 roles[pid] = PageRole(role, edge=j, group=i)
+    wide = {pid for pid, role in roles.items() if role.role in WIDE_ROLES}
 
-    meta, block_pages, before, after = _skeleton(graph, H)
+    # The requests hold the table's own id strings: every id below is one of its keys.
+    meta, block_pages, before, after = _skeleton(graph, H, vertex_ids, group_ids)
     blocks: list[Block] = []
     request_pages: list[str] = []
     request_blocks = array("i")
 
     def emit(pids, block: int) -> None:
         request_pages.extend(pids)
-        request_blocks.extend(repeat(block, len(pids)))
+        request_blocks.extend(array("i", (block,)) * len(pids))
 
     prev: list[str] = []
     for k, row in enumerate(block_pages):
-        row = [table[p].id for p in row]  # the table's own id strings
         if model == MODEL_BIT and k > 0:
             shared = set(prev).intersection(row)
-            two = [p for p in prev if p in shared and roles[p].role not in WIDE_ROLES]
-            three = [p for p in prev if p in shared and roles[p].role in WIDE_ROLES]
+            two = list(filter((shared - wide).__contains__, prev))
+            three = list(filter((shared & wide).__contains__, prev))
             assert len(three) <= 1, "two size-3 pages may never share a boundary"
             for slot, content in ((1, ()), (2, two), (3, three), (4, two), (5, ())):
                 emit(content, len(blocks))
                 blocks.append(Block(len(blocks), BLOCK_INSERTED, None, slot))
-        emit([table[p].id for p in before.get(k, ())], -1)
+        emit(before.get(k, ()), -1)
         emit(row, len(blocks))
         blocks.append(Block(len(blocks), *meta[k]))
         if k in after:
-            emit([table[after[k]].id], -1)
+            emit([after[k]], -1)
         prev = row
     instance = Instance(
         2 * graph.m * H + 1, table, tuple(request_pages), request_blocks, tuple(blocks),

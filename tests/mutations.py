@@ -7,6 +7,8 @@ fails while the other five keep passing.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from gencaching import (
     Graph,
     ReductionOutput,
@@ -118,6 +120,31 @@ def repeat_in_last_block(output: ReductionOutput) -> ReductionOutput:
     pid = edge_page_id(0, 1, "carry_back")
     last = max(i for i, (p, _) in enumerate(pairs) if p == pid)
     pairs.insert(last + 1, pairs[last])
+    return _rebuild(output, pairs)
+
+
+def interleave_edges(output: ReductionOutput) -> ReductionOutput:
+    """Riffle the two edge sections of one block, each edge's own order kept;
+    trips (d) but not (e)."""
+    pairs = _pairs(output)
+    bid = _anchor(output, 0, 1, 3)
+    idxs = [i for i, (_, b) in enumerate(pairs) if b == bid]
+    edge_of = {i: output.page_roles[pairs[i][0]].edge for i in idxs}
+    sections = [[pairs[i] for i in idxs if edge_of[i] == j] for j in (0, 1)]
+    riffled = [x for both in zip_longest(*sections) for x in both if x is not None]
+    for i, x in zip(idxs, riffled):
+        pairs[i] = x
+    return _rebuild(output, pairs)
+
+
+def shift_bit_request(output: ReductionOutput) -> ReductionOutput:
+    """Move the last request of the first non-empty inserted slot-4 block
+    into the empty slot-5 block after it; trips (b) for that page."""
+    inst = output.instance
+    pairs = _pairs(output)
+    slot4 = next(b.id for b, (lo, hi) in zip(inst.blocks, inst.spans) if b.slot == 4 and lo < hi)
+    t = inst.spans[slot4][1] - 1
+    pairs[t] = (pairs[t][0], slot4 + 1)
     return _rebuild(output, pairs)
 
 

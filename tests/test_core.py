@@ -7,6 +7,7 @@ import gc
 import hashlib
 import pickle
 import random
+import re
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -336,6 +337,18 @@ def test_forced_transform_stores_nothing_per_request():
     forced, retained = _retained(lambda: optional_to_forced(out))
     assert forced.num_requests == 2 * out.instance.num_requests
     assert retained * 1000 / out.instance.num_requests < 1024
+
+
+def test_forced_requests_view_stores_nothing_per_request():
+    # The view reads the rule per position; building the page column and a
+    # block array on each access peaked at about 39 bytes per forced request.
+    forced = optional_to_forced(generate(CORPUS["K3"], "fault", 8))
+    n, peak = _peak(lambda: len(forced.requests))
+    assert n == forced.num_requests == 6796
+    assert peak < 1024
+    view = forced.requests
+    assert view[-1] == Request(n - 1, f"q{n // 2 - 1}", None)
+    assert view[-2] == Request(n - 2, forced.request_pages[-1], None)
 
 
 # --- garbage collector ----------------------------------------------------
@@ -674,7 +687,25 @@ def _reader_texts():
         for i in (1, len(lines) // 2, len(lines) - 1):  # one row with a field too many
             broken = lines[:i] + [lines[i] + " 7"] + lines[i + 1 :]
             variants += [end.join(broken) + end for end in ("\n", "\r\n")]
+        for edited in _odd_request_rows(lines):
+            variants += [end.join(edited) + end for end in ("\n", "\r\n")]
         yield from ((parse, v) for v in variants)
+
+
+def _odd_request_rows(lines):
+    """`lines` with one request row, mid-section, that the per-line checks
+    take: an unknown page, an unknown block, the token 007, one field; and
+    with the last row's block token zero-padded, which reads as the row."""
+    head = next((i for i, line in enumerate(lines) if line.startswith("requests ")), None)
+    if head is None:
+        return
+    last = head + int(lines[head].split()[1])
+    mid = (head + 1 + last) // 2
+    pid, blk = lines[mid].split()
+    for row in (f"zzz {blk}", f"{pid} 99", f"{pid} 007", pid):
+        yield lines[:mid] + [row] + lines[mid + 1 :]
+    pid, blk = lines[last].split()
+    yield lines[:last] + [f"{pid} 00{blk}"] + lines[last + 1 :]
 
 
 @pytest.mark.parametrize("chunk", range(1, 17))
@@ -684,6 +715,51 @@ def test_reader_chunk_size_changes_nothing(monkeypatch, chunk):
     assert {kind for kind, _ in want} == {"ok", "error"}
     monkeypatch.setattr(core, "_CHUNK", chunk)
     assert [_parsed(parse, text) for parse, text in texts] == want
+
+
+def test_request_row_errors_name_their_line():
+    text = instance_to_text(generate(CORPUS["K2"], "fault", 1).instance)
+    lines = text.splitlines()
+    mid = len(lines) - 5  # a request row in block 4 of 6
+    pid, blk = lines[mid].split()
+    assert blk == "4"
+    # A blank line goes before the row, which then is line mid + 2.
+    for row, message in [
+        ("zzz 4", "request for unknown page 'zzz'"),
+        (f"{pid} 99", "request references unknown block 99"),
+        (f"{pid} 007", "request references unknown block 7"),
+        (f"{pid} 4x", "block id must be a non-negative integer, got '4x'"),
+        (pid, f"expected '<page-id> <block|->', got '{pid}'"),
+        (f"{pid} 4 4", f"expected '<page-id> <block|->', got '{pid} 4 4'"),
+    ]:
+        edited = lines[:mid] + ["", row] + lines[mid + 1 :]
+        with pytest.raises(FormatError, match=f"^{re.escape(f'line {mid + 2}: {message}')}$"):
+            instance_from_text("\n".join(edited))
+    edited = lines[:mid] + ["", f"{pid} 004"] + lines[mid + 1 :]
+    assert instance_from_text("\n".join(edited)) == instance_from_text(text)
+
+
+def test_written_requests_skip_the_per_line_checks(monkeypatch):
+    # The writer's request rows all go through the reader's tight loop; only
+    # an odd row, here a blank line, reaches the per-line checks.
+    text = reduction_to_text(generate(CORPUS["K3"], "bit", 8))
+    lines = text.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("requests "))
+    rows = range(head + 2, head + 2 + int(lines[head].split()[1]))  # their line numbers
+    assert len(rows) == 9846
+    checked = []
+    split = core._LineReader.split
+
+    def spy(reader, line, *args):
+        checked.append(reader.lineno)
+        return split(reader, line, *args)
+
+    monkeypatch.setattr(core._LineReader, "split", spy)
+    reduction_from_text(text)
+    assert checked and not set(checked).intersection(rows)
+    checked.clear()
+    reduction_from_text("\n".join(lines[: head + 5] + [""] + lines[head + 5 :]))
+    assert set(checked).intersection(range(rows.start, rows.stop + 1)) == {head + 6}
 
 
 def test_reader_names_a_line_far_past_the_first_chunk():

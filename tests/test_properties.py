@@ -31,7 +31,13 @@ from gencaching import (
     validate_service,
     vertex_page_id,
 )
-from mutations import MUTATIONS, base_output, repeat_in_last_block
+from mutations import (
+    MUTATIONS,
+    base_output,
+    interleave_edges,
+    repeat_in_last_block,
+    shift_bit_request,
+)
 from randgen import gap_pairs
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))
@@ -100,6 +106,27 @@ def test_repeated_request_names_its_block():
     report = check_properties(repeat_in_last_block(base_output()))
     assert sorted(k for k, chk in report.checks.items() if not chk.ok) == ["b"]
     assert report.checks["b"].witness == "page e0.1.carry_back: requested twice in block 5"
+
+
+def _failed(report) -> dict[str, str]:
+    return {k: chk.witness for k, chk in report.checks.items() if not chk.ok}
+
+
+def test_interleaved_edges_fail_d_but_keep_e():
+    # Block 5 riffles edge 0's carry_front/carry_back section with edge 1's
+    # lead_in pages: the edges are out of order, but each edge's early
+    # requests still come before its late ones.
+    mutated = interleave_edges(base_output())
+    assert _failed(check_properties(mutated)) == {"d": "block 5: edge 0 follows edge 1"}
+
+
+def test_bit_spacing_off_by_one_block_names_it():
+    # e0.1.lead_in moves from inserted block 4 (slot 4) to block 5 (slot
+    # 5): two blocks without it after block 2, where a size-2 page needs one.
+    out = reduce_bit_optional(K2, H=1)
+    assert _failed(check_properties(shift_bit_request(out))) == {
+        "b": "page e0.1.lead_in: separation after block 2 is not 1"
+    }
 
 
 def test_sidecar_H_must_match_the_lead_pages():

@@ -487,10 +487,12 @@ def _outcome(fn, *args):
 def assert_rule_matches_explicit_twin(optional, forced, services, solvers=()):
     """The forced instance, with its fresh requests as a rule, answers as the
     explicit instance read back from its text: requests, request index,
-    validation and savings of each service, and each of `solvers`."""
+    gaps, validation and savings of each service, and each of `solvers`."""
     twin = instance_from_text(instance_to_text(forced))
     assert forced.num_requests == twin.num_requests == 2 * optional.num_requests
     assert list(forced.requests) == list(twin.requests)
+    assert forced.requests[::-3] == twin.requests[::-3]
+    assert enumerate_gaps(forced) == enumerate_gaps(twin)
     assert list(request_positions(forced).items()) == list(request_positions(twin).items())
     assert dict(forced.pages) == dict(twin.pages)
     for service in services:
