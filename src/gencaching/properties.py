@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     BLOCK_PHASE,
+    Block,
     InvalidServiceError,
     Service,
     merged_occupancy_runs,
@@ -241,16 +242,39 @@ def _check_f(output: ReductionOutput) -> str:
             bs = [b for b in map(block_of, positions.get(pid, ())) if b >= 0]
             wide_blocks.setdefault(role.edge, []).append((pid, bs))
     for _, entries in sorted(wide_blocks.items()):
+        if _anchors_apart(entries, blocks):
+            continue
+        # Some pair may fail: name the first as the pairwise scan finds it.
         for pid, bs in entries:
             if not bs:
                 return f"page {pid}: never requested in a block"
-            first, last = blocks[bs[0]], blocks[bs[-1]]
-            if first.kind != BLOCK_PHASE or last.kind != BLOCK_PHASE or first.vertex != last.vertex:
+            if not _in_one_phase(bs, blocks):
                 return f"page {pid}: anchor blocks {bs[0]},{bs[-1]} not in one phase"
             for other, obs in entries:
                 if other != pid and any(bs[0] <= b <= bs[-1] for b in obs):
                     return f"page {other}: requested between {pid}'s anchors"
     return ""
+
+
+def _anchors_apart(entries: list[tuple[str, list[int]]], blocks: tuple[Block, ...]) -> bool:
+    """Whether one edge's wide pages pass (f), in one pass over them sorted by
+    first anchor block.  True when each page's blocks lie between its first
+    and last anchor, in one phase, and no two pages' anchor ranges meet: then
+    no page is requested in another's range.  False when any of that fails;
+    the edge may still pass, and the pairwise scan decides."""
+    ranges = []
+    for _, bs in entries:
+        if not bs or min(bs) != bs[0] or max(bs) != bs[-1] or not _in_one_phase(bs, blocks):
+            return False
+        ranges.append((bs[0], bs[-1]))
+    ranges.sort()
+    return all(end < start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+
+
+def _in_one_phase(bs: list[int], blocks: tuple[Block, ...]) -> bool:
+    """Whether a wide page's first and last anchor blocks lie in one phase."""
+    first, last = blocks[bs[0]], blocks[bs[-1]]
+    return first.kind == BLOCK_PHASE == last.kind and first.vertex == last.vertex
 
 
 _CHECKS = {"a": _check_a, "b": _check_b, "c": _check_c, "d": _check_d, "e": _check_e, "f": _check_f}

@@ -16,7 +16,7 @@ request count.
 Two backends run the same sweep.  `_solve_packed` keeps a layer as Python
 ints of 2^L_t bit fields, one per live mask; `_solve_dense` keeps it as numpy
 arrays of 2^k entries and reads only the first 2^L_t.  Both keep one
-decision per live mask where the page was requested before, and walk back
+decision bit per live mask where the page was requested before, and walk back
 from the empty mask for the witness.  `solve_exact` refuses from the plan alone, before any sweep, when
 the 2^k masks pass the state budget.  Otherwise it runs numpy's sweep where
 the plan's live cells, the sum of 2^L_t, reach `NUMPY_MIN_CELLS` and numpy
@@ -169,9 +169,10 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     and before any sweep (never a wrong answer).  Otherwise numpy's dense
     sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS and numpy
     can be imported, and the packed sweep in every other case.  Without
-    numpy the large cases take the packed sweep too, whose decision bits
-    grow with the live cells: w bits per live mask at every position whose
-    page was requested before, 449 MiB for `fault` K4 at H=2.  Both sweeps
+    numpy the large cases take the packed sweep too.  Both keep about one
+    decision bit per live mask at every position whose page was requested
+    before, so their decisions grow with the live cells: 45 MiB for `fault`
+    K4 at H=2 in the packed sweep, 41 MiB in numpy's.  Both sweeps
     break ties alike, so the result (optimum, witness and counters) and the
     refusals do not depend on which runs.  A forced instance from
     `optional_to_forced` is swept with its fresh requests written out
@@ -345,13 +346,18 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     sets it without carrying into the next field, and `flags - (flags >>
     top)` turns a set of guards into a mask of their fields' value bits.  So
     each request is a few whole-int operations.  A request to slot s selects
-    the masks without bit s with one periodic pattern per width and slot
-    and aligns the masks with bit s to them by a shift of w * 2^s bits; a
-    move shifts the masks with the top bit h onto them by w * (2^h - 2^s)
-    bits.  Memory: a few layers of 2^L * w bits, the patterns of every
-    width (about 4k ints of 2^k * w bits), and one layer of guard bits per
-    position whose page was requested before (2^L * w / 8 bytes).  Ties go
-    to the predecessor that held p.
+    the masks without bit s with one periodic pattern per slot and aligns
+    the masks with bit s to them by a shift of w * 2^s bits; a move shifts
+    the masks with the top bit h onto them by w * (2^h - 2^s) bits.  The
+    masks reached are counted from the guards only where the counts already
+    known do not give them.
+
+    A decision is the guard bits of the masks whose predecessor held p, at
+    a position whose page was requested before.  Decision d is kept in lane
+    j = d mod w of int d // w, shifted down j bits, so w decisions share one
+    int and a live mask costs one bit per decision.  Memory: a few layers of
+    2^L * w bits, the slot patterns (2k ints of 2^k * w bits), and about
+    2^L / 8 bytes per decision.  Ties go to the predecessor that held p.
     """
     request_pages = instance.request_pages
     pages = instance.pages
@@ -364,26 +370,29 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
 
     # Per live width L: (all bits of its 2^L fields, bit 0 of each, their
     # guards, `low`: `(layer + low & guard).bit_count()` counts the fields
-    # reached, per slot s <= L all bits of the fields of masks without bit s
-    # and their guards).  Width L + 1 doubles width L's patterns, and its slot
-    # L keeps width L's fields.
+    # reached).  Per slot s: all bits of the fields of masks without bit s,
+    # and their guards, over the 2^k fields of the widest layer; every use is
+    # an `&` with a layer of 2^L fields, which reads only those.
     widths = []
+    keeps: list[int] = []
     unit = 1
     full = (1 << w) - 1
-    keeps = [full]
     for width in range(plan.width + 1):
         guard = unit << top
-        pairs = [(keep, keep & guard) for keep in keeps]
-        widths.append((full, unit, guard, guard - unit, pairs))
-        shift = w << width
-        unit |= unit << shift
-        keeps = [keep | keep << shift for keep in keeps[:-1]] + [full, full | full << shift]
-        full = keeps[-1]
+        widths.append((full, unit, guard, guard - unit))
+        if width < plan.width:
+            shift = w << width
+            keeps = [keep | keep << shift for keep in keeps]
+            keeps.append(full)  # slot `width` keeps the fields below it
+            unit |= unit << shift
+            full |= full << shift
+    slots = [(keep, keep & guard) for keep in keeps]
 
     sav, held = 1, 0  # only the empty mask is reached, with no savings
-    decisions: dict[int, int] = {}
+    lanes: list[int] = []  # decision d in lane d % w of lanes[d // w]
+    decision: dict[int, int] = {}  # position -> d
     live = 0
-    full, unit, guard, low, keeps = widths[live]
+    full, unit, guard, low = widths[live]
     reach = 1
     states = transitions = peak = peak_at = 0
     for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
@@ -398,7 +407,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 reach = (sav + low & guard).bit_count()
             transitions += reach
         else:
-            keep, keep_guard = keeps[slot]
+            keep, keep_guard = slots[slot]
             shift = w << slot
             held0 = held & keep
             if not ordinal:
@@ -408,13 +417,11 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
             over = held0 + fit & keep_guard
             load = without ^ without & over - (over >> top)  # open from an uncached p
             stay = load if forced else without  # close from an uncached p
-            transitions += (stay + low & guard).bit_count()
-            if more:
-                transitions += (load + low & guard).bit_count()
+            loads = (load + low & guard).bit_count() if forced or more else 0
             if ordinal:
                 with_ = sav >> shift & keep
                 holds = with_ + low & guard  # the reached masks that hold p
-                transitions += holds.bit_count() * (2 if more else 1)
+                cached = holds.bit_count()
                 gain = with_ + (holds >> top) * page.cost  # from a cached p
                 # A guard survives `(gain | guard) - other` iff gain >= other.
                 pick = (gain | guard) - stay & keep_guard
@@ -425,18 +432,29 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                     pick |= pick_open << shift
                 else:
                     held = held0  # the last request drops p's size
-                decisions[t] = pick
+                d = decision[t] = len(decision)
+                if d % w:
+                    lanes[-1] |= pick >> d % w
+                else:
+                    lanes.append(pick)
             else:
+                cached = 0
                 sav = stay | load << shift
+            # The reached masks split by bit s: reach - cached lack it.
+            stays = loads if forced else reach - cached
+            transitions += stays + cached
+            if more:
+                transitions += loads + cached
             if after != live:
                 live = after
-                full, unit, guard, low, keeps = widths[live]
+                full, unit, guard, low = widths[live]
             if move >= 0:
                 # The top slot's page moves in: `full` holds the masks below its bit.
                 span = w << move
                 sav = sav & full | (sav >> span) << shift
                 held = held & full | (held >> span) << shift
-            reach = (sav + low & guard).bit_count()
+            # A first request puts stay and load in disjoint fields.
+            reach = (sav + low & guard).bit_count() if ordinal else stays + loads
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
@@ -444,7 +462,8 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
             peak, peak_at = reach, t
 
     def held_p(t: int, mask: int) -> int:
-        return decisions[t] >> mask * w + top & 1
+        d = decision[t]
+        return lanes[d // w] >> mask * w + top - d % w & 1
 
     # Every gap has closed after the last position: only field 0 is left.
     witness = _walk_back(instance, plan, held_p)

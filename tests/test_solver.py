@@ -402,6 +402,81 @@ def test_dense_and_dict_backends_agree_on_the_corpus(name):
     assert_backends_agree(instance_from_text(instance_to_text(optional_to_forced(simple))))
 
 
+def test_packed_sweep_reads_a_partly_filled_last_lane():
+    # w decisions share one int; here the decisions pass 2w and are no
+    # multiple of w, so the last int holds fewer than w of them.
+    rng = random.Random(2020)
+    table = [("p", 1, 1), ("q", 2, 3), ("r", 1, 2), ("s", 2, 1), ("u", 3, 4)]
+    reqs = [rng.choice("pqrsu") for _ in range(40)]
+    for policy in (OPTIONAL, FORCED):
+        inst = bare(3, table, reqs, policy)
+        plan = _slot_plan(inst)
+        decisions = sum(1 for _, _, ordinal, _, _ in plan.rows if ordinal)
+        w = solver._largest(inst, plan).bit_length() + 1
+        assert decisions > 2 * w and decisions % w
+        assert _solve_packed(inst, plan) == solve_dict(inst, plan)
+
+
+# Leading 16 hex digits of sha256 over repr((optimum, sorted witness pairs,
+# states, transitions, peak_states, peak_position)) + "\n" of solve_exact on
+# each case of the round-trip benchmark grid, all below NUMPY_MIN_CELLS, so
+# solved by the packed sweep; as it answered when it kept one int of w bits
+# per live mask and decision.  (graph, model, H, forced twin): digest.
+EXACT_DIGESTS = {
+    ("K2", "simple", None, False): "58ed779ab8893a06",
+    ("K2", "fault", 1, False): "259917007160107f",
+    ("K2", "fault", 2, False): "f5d259551d3bf65a",
+    ("K2", "bit", 1, False): "eb49d3b2d9151a6f",
+    ("K2", "bit", 2, False): "ff065f19404b5a2e",
+    ("P3", "simple", None, False): "0e6f7f16f6464146",
+    ("P3", "fault", 1, False): "d923a5c298bb401a",
+    ("P3", "fault", 2, False): "5d2d9e0462bc5c06",
+    ("P3", "bit", 1, False): "f19803c6fdd902f7",
+    ("P3", "bit", 2, False): "bf664f92f1f1c4cd",
+    ("K3", "simple", None, False): "2b1dabe3d8119fba",
+    ("K3", "fault", 1, False): "bc924fd72a9443cc",
+    ("K3", "fault", 2, False): "fc8a7126da1d3f38",
+    ("K3", "bit", 1, False): "084eb77e8907154f",
+    ("K3", "bit", 2, False): "7d2371e86c406687",
+    ("P4", "simple", None, False): "a685c3d64e3b60ba",
+    ("P4", "fault", 1, False): "38e19a3e15bc58e3",
+    ("P4", "fault", 2, False): "550f96e885eb5bf5",
+    ("P4", "bit", 1, False): "9fb1be1185e76c10",
+    ("P4", "bit", 2, False): "4f5ff07180226272",
+    ("K1_3", "simple", None, False): "44c7f526f475cb41",
+    ("K1_3", "fault", 1, False): "236608674b2ac199",
+    ("K1_3", "fault", 2, False): "6d372a3c840e98fa",
+    ("K1_3", "bit", 1, False): "46c4df9594312699",
+    ("K1_3", "bit", 2, False): "97ec016a9fee4814",
+    ("C4", "simple", None, False): "bc457e334120c507",
+    ("C4", "fault", 1, False): "283a3a1f42a4a1f6",
+    ("C4", "fault", 2, False): "0a7c88ae8075aed4",
+    ("C4", "bit", 1, False): "362c0d4ea4ad75fe",
+    ("C4", "bit", 2, False): "80ad027cac007d22",
+    ("C5", "simple", None, False): "943c40e6adec78c6",
+    ("C5", "fault", 1, False): "69b8d09c3499e23f",
+    ("C5", "fault", 2, False): "b401044c6911196b",
+    ("C5", "bit", 1, False): "460868a0c348d5c5",
+    ("K4", "simple", None, False): "f47133325eb7d3e6",
+    ("K4", "fault", 1, False): "89cdeca4513f9b1f",
+    ("K4", "bit", 1, False): "2fcb37284e03ecd4",
+    ("C4", "simple", None, True): "bbdd582c4ba71433",
+    ("K4", "simple", None, True): "fa10e5ca88fbd66d",
+    ("K3", "fault", 1, True): "e420e4e55fe3af3f",
+    ("K3", "fault", 2, True): "b6cc571ce71daa49",
+}
+
+
+@pytest.mark.parametrize("name, model, H, forced", list(EXACT_DIGESTS))
+def test_exact_results_pinned(name, model, H, forced):
+    out = generate(CORPUS[name], model, H)
+    inst = optional_to_forced(out) if forced else out.instance
+    result = solve_exact(inst)
+    row = (result.optimal_savings, sorted(gap_pairs(result.witness)), *astuple(result.explored))
+    digest = hashlib.sha256(repr(row).encode() + b"\n").hexdigest()[:16]
+    assert digest == EXACT_DIGESTS[name, model, H, forced]
+
+
 def most_gaps_open_at_one_boundary(inst):
     delta = [0] * (len(inst.requests) + 1)
     for gap in enumerate_gaps(inst):
@@ -510,12 +585,9 @@ def test_packed_solve_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
 
 
-def test_packed_solve_peaks_near_its_decision_layers():
-    # C4 `bit` at H=2: k = 13 and w = 13 bits per field, 1,044 positions
-    # keep a layer of guard bits over their live masks (6.7 MiB in all, 13.3
-    # MiB over all 2^k masks; numpy keeps 0.5 MiB of decision bits there).
-    # The sweep adds a few layers and the patterns of every width.
-    inst = generate(CORPUS["C4"], "bit", 2).instance
+def packed_sweep_peak(name, model, H):
+    """The traced peak of `_solve_packed` on a corpus instance, in bytes."""
+    inst = generate(CORPUS[name], model, H).instance
     plan = _slot_plan(inst)
     tracemalloc.start()
     try:
@@ -523,7 +595,23 @@ def test_packed_solve_peaks_near_its_decision_layers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 1024 * 1024
+    return peak
+
+
+def test_packed_solve_peaks_near_its_decision_layers():
+    # C4 `bit` at H=2: k = 13 and w = 13 bits per field.  1,044 positions
+    # keep a decision, one bit per live mask, w decisions to a shared int
+    # (0.56 MiB in all; numpy keeps 0.52 MiB).  The sweep adds a few layers
+    # and the slot patterns, and peaks at about 1.2 MiB; with one int of w
+    # bits per mask and decision it peaked at 8.0 MiB.
+    assert packed_sweep_peak("C4", "bit", 2) < 3 * 1024 * 1024
+
+
+def test_packed_solve_of_the_grids_largest_case_peaks_near_its_decisions():
+    # C5 `fault` at H=2, the largest case of the round-trip benchmark grid:
+    # k = 15 and w = 11; 529 decisions take 1.24 MiB (numpy: 1.13 MiB).  The
+    # sweep peaks at about 3.6 MiB; with one int per decision it was 16.0 MiB.
+    assert packed_sweep_peak("C5", "fault", 2) < 8 * 1024 * 1024
 
 
 def test_package_import_leaves_numpy_unloaded():
