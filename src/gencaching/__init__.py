@@ -14,7 +14,7 @@ from .core import (
     OPTIONAL,
     Block,
     FormatError,
-    Gap,
+    GapTable,
     Instance,
     InstanceError,
     InvalidServiceError,
@@ -23,12 +23,11 @@ from .core import (
     Service,
     UnknownGapError,
     ValidationReport,
-    enumerate_gaps,
+    gap_table,
     instance_from_text,
     instance_to_text,
     make_instance,
     merged_occupancy_runs,
-    occupancy_profile,
     request_positions,
     savings,
     service_from_text,

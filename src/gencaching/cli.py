@@ -8,8 +8,6 @@ from pathlib import Path
 
 from .core import (
     FormatError,
-    _LineReader,
-    _read_instance,
     instance_to_text,
     service_from_text,
     service_to_text,
@@ -33,9 +31,9 @@ from .reductions import (
     MODELS,
     MODEL_SIMPLE,
     Graph,
-    _read_sidecar,
     generate,
     graph_from_text,
+    instance_or_reduction_from_text,
     optional_to_forced,
     reduction_from_text,
     reduction_to_text,
@@ -60,14 +58,6 @@ def _load_reduction(path: str):
     return reduction_from_text(Path(path).read_text())
 
 
-def _load_instance_or_reduction(path: str):
-    r = _LineReader(Path(path).read_text())
-    instance = _read_instance(r)
-    if r.at_end():
-        return instance
-    return _read_sidecar(r, instance).instance
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -87,7 +77,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_reduction(args.input)
+    instance = instance_or_reduction_from_text(Path(args.input).read_text())
     if args.brute:
         result = solve_brute_force(instance)
     else:
@@ -132,7 +122,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_packing(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_reduction(args.input)
+    instance = instance_or_reduction_from_text(Path(args.input).read_text())
     _write_or_print(packing_to_text(export_interval_packing(instance)), args.out)
     return 0
 

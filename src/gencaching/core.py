@@ -97,15 +97,14 @@ class Request(NamedTuple):
 
 
 class _Rows(Sequence):
-    """Equal-length columns seen as one record per index: `row(*fields)`, made on access.
+    """Equal-length columns seen as one tuple per index, made on access.
 
     Negative indices and IndexError behave as for a tuple, and a slice is a list.
     """
 
-    __slots__ = ("_row", "_columns")
+    __slots__ = ("_columns",)
 
-    def __init__(self, row, *columns: Sequence) -> None:
-        self._row = row
+    def __init__(self, *columns: Sequence) -> None:
         self._columns = columns
 
     def __len__(self) -> int:
@@ -113,12 +112,12 @@ class _Rows(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(self._row, *(column[index] for column in self._columns)))
+            return list(zip(*(column[index] for column in self._columns)))
         i = range(len(self))[index]
-        return self._row(*(column[i] for column in self._columns))
+        return tuple(column[i] for column in self._columns)
 
     def __iter__(self) -> Iterator:
-        return map(self._row, *self._columns)
+        return zip(*self._columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,7 +391,7 @@ class Instance:
             raise InstanceError("request_blocks must be an array('i') of block ids")
         if len(column) != len(pages):
             raise InstanceError(f"{len(pages)} request pages but {len(column)} request blocks")
-        if not all(map(self.pages.__contains__, pages)):
+        if not set(pages) <= self.pages.keys():
             t = next(t for t, pid in enumerate(pages) if pid not in self.pages)
             raise InstanceError(f"request {t} asks for unknown page {pages[t]!r}")
         if self.blocks:
@@ -516,17 +515,24 @@ def make_instance(
     )
 
 
-class Gap(NamedTuple):
-    """The closed span [start, end] between a page's consecutive requests.
+@dataclass(frozen=True)
+class GapTable:
+    """Every gap of an instance as array columns, gaps in (page id, ordinal) order.
 
-    `ordinal` k is the gap between the page's k-th and (k+1)-th request
-    (0-based).
+    Gap i is the closed span [`starts[i]`, `ends[i]`] between the
+    `ordinals[i]`-th and the next request (0-based) of page
+    `page_ids[pages[i]]`, whose size is `sizes[i]` and cost `costs[i]`.
+    `page_ids` holds the pages with a gap, in id order.  Page indices,
+    ordinals and positions are `array('i')`, sizes and costs `array('q')`.
     """
 
-    page: str
-    ordinal: int
-    start: int
-    end: int
+    page_ids: tuple[str, ...]
+    pages: array
+    ordinals: array
+    starts: array
+    ends: array
+    sizes: array
+    costs: array
 
 
 @dataclass(frozen=True)
@@ -615,21 +621,32 @@ def _explicit(instance: Instance) -> Instance:
     )
 
 
-@_gc_paused()
-def enumerate_gaps(instance: Instance) -> list[Gap]:
-    """Every gap of every page, ordered by (page id, ordinal).
+def gap_table(instance: Instance) -> GapTable:
+    """The instance's gaps, from one slice of each page's positions.
 
     Under a flush rule only the base's pages have gaps, since each fresh page
     is requested once; their positions are read doubled.
     """
     by_page = request_positions(instance)
-    flush = instance._flush
-    gaps: list[Gap] = []
-    for pid in sorted(request_positions(flush.base) if flush else by_page):
-        pos = by_page[pid].tolist()  # one int per position, shared by the gaps it bounds
-        for k in range(len(pos) - 1):
-            gaps.append(Gap(pid, k, pos[k], pos[k + 1]))
-    return gaps
+    page_ids: list[str] = []
+    pages, ordinals, starts, ends = array("i"), array("i"), array("i"), array("i")
+    sizes, costs = array("q"), array("q")
+    upto = array("i")  # 0, 1, 2, ...: a page's ordinals are a slice of it, not one int each
+    for pid in sorted(request_positions(instance._flush.base) if instance._flush else by_page):
+        pos = by_page[pid]
+        g = len(pos) - 1
+        if g:
+            if len(upto) < g:
+                upto = array("i", range(2 * g))
+            page = instance.pages[pid]
+            pages += array("i", (len(page_ids),)) * g
+            page_ids.append(pid)
+            ordinals += upto[:g]
+            starts += pos[:-1]
+            ends += pos[1:]
+            sizes += array("q", (page.size,)) * g
+            costs += array("q", (page.cost,)) * g
+    return GapTable(tuple(page_ids), pages, ordinals, starts, ends, sizes, costs)
 
 
 def merged_occupancy_runs(
@@ -675,11 +692,6 @@ def _load_steps(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -
             diff[e + 1] -= size
     diff.pop()  # the slot past the last position
     return diff
-
-
-def occupancy_profile(instance: Instance, service: Service) -> list[int]:
-    """Total cached size at every position (length = number of requests)."""
-    return list(accumulate(_load_steps(instance, merged_occupancy_runs(instance, service))))
 
 
 @dataclass(frozen=True)

@@ -451,3 +451,10 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
 def reduction_from_text(text: str) -> ReductionOutput:
     r = _LineReader(text)
     return _read_sidecar(r, _read_instance(r))
+
+
+def instance_or_reduction_from_text(text: str) -> Instance:
+    """The instance of an instance text, or of a reduction text (instance, then sidecar)."""
+    r = _LineReader(text)
+    instance = _read_instance(r)
+    return instance if r.at_end() else _read_sidecar(r, instance).instance

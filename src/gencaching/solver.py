@@ -48,12 +48,12 @@ from . import core
 from .core import (
     FORCED,
     OPTIONAL,
-    Gap,
+    GapTable,
     Instance,
     Service,
     _explicit,
     _Rows,
-    enumerate_gaps,
+    gap_table,
     request_positions,
 )
 
@@ -484,23 +484,23 @@ def solve_brute_force(instance: Instance) -> SolveResult:
     covers t with the interior of exactly one chosen gap.
 
     Ties are broken towards the lexicographically smallest chosen-gap tuple
-    (gaps ordered by page id, then ordinal).  `states` counts the subsets
-    and `transitions` the valid ones.  Fresh requests held as a rule are
-    written out first, as in `solve_exact`.
+    (the rows of `gap_table`, by page id, then ordinal).  `states` counts the
+    subsets and `transitions` the valid ones.  Fresh requests held as a rule
+    are written out as in `solve_exact`, once the gap count is within the guard.
     """
-    instance = _explicit(instance)
-    # Every request but a page's first ends one gap.
+    # Every request but a page's first ends one gap, under a flush rule too.
     g = instance.num_requests - len(request_positions(instance))
     if g > BRUTE_FORCE_GAP_GUARD:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
-    gaps = enumerate_gaps(instance)
+    instance = _explicit(instance)
+    gaps = gap_table(instance)
     best = best_mask = -1
     valid = 0
     for mask, value in _feasible_subsets(instance, gaps):
         valid += 1
         if value > best or (value == best and _lex_before(mask, best_mask)):
             best, best_mask = value, mask
-    pairs = [(gap.page, gap.ordinal) for i, gap in enumerate(gaps) if best_mask >> i & 1]
+    pairs = [(gaps.page_ids[gaps.pages[i]], gaps.ordinals[i]) for i in range(g) if best_mask >> i & 1]
     return SolveResult(best, Service.of(pairs), SolveStats(1 << g, valid))
 
 
@@ -515,10 +515,10 @@ def _lex_before(a: int, b: int) -> bool:
     return bool(a & diff & -diff)
 
 
-def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple[int, int]]:
+def _feasible_subsets(instance: Instance, gaps: GapTable) -> Iterator[tuple[int, int]]:
     """Yield (mask, value) for every valid subset of `gaps`, in Gray-code order.
 
-    Bit i of `mask` chooses `gaps[i]`; `value` is the chosen gaps' total cost.
+    Bit i of `mask` chooses row i of `gaps`; `value` is the chosen gaps' total cost.
     Validity is the occupancy rule of `solve_brute_force`.  Two chosen gaps
     of p_t may meet at t, and p_t is still cached once, so under `optional`
     the rule is checked as two sums, one per side of t: interior(t) plus
@@ -535,7 +535,7 @@ def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple
     cap = instance.capacity
     forced = instance.policy == FORCED
     sizes = [pages[pid].size for pid in instance.request_pages]
-    top = (sum(pages[gap.page].size for gap in gaps) + cap + max(sizes, default=0)).bit_length()
+    top = (sum(gaps.sizes) + cap + max(sizes, default=0)).bit_length()
     field = top + 1  # position t's fields start at bits 2t * field and (2t + 1) * field
     n = len(sizes)
     unit = (1 << 2 * field * n) // ((1 << 2 * field) - 1)  # a 1 in every field
@@ -548,14 +548,12 @@ def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple
     # Per gap, the moves that choose and drop it: (occupancy change, value
     # change, mask bit).
     flips = []
-    for i, gap in enumerate(gaps):
-        s, e = gap.start, gap.end
-        page = pages[gap.page]
+    for i, (s, e, size, cost) in enumerate(zip(gaps.starts, gaps.ends, gaps.sizes, gaps.costs)):
         change = unit >> 2 * field * (n - e + s + 1) << 2 * field * (s + 1)  # s < t < e
         if not forced:
             change += (1 << (2 * s + 1) * field) + (1 << 2 * e * field)  # after s, before e
-        change *= page.size
-        flips.append(((change, page.cost, 1 << i), (-change, -page.cost, 1 << i)))
+        change *= size
+        flips.append(((change, cost, 1 << i), (-change, -cost, 1 << i)))
 
     def flip(k: int) -> tuple[int, int, int]:
         """The move of step k of the reflected Gray code."""
@@ -565,7 +563,7 @@ def _feasible_subsets(instance: Instance, gaps: Sequence[Gap]) -> Iterator[tuple
     # The steps through the low gaps repeat every 2^low subsets, except that
     # gap low-1 runs the other way in odd rounds; a step over a higher gap
     # leads each round.
-    g = len(gaps)
+    g = len(gaps.starts)
     low = min(g // 2, _GRAY_ROUND_GAPS)
     rounds = [[flip(k) for k in range((j << low) + 1, j + 1 << low)] for j in (0, 1)]
     mask = value = 0
@@ -602,28 +600,21 @@ class IntervalPackingInstance:
     @property
     def intervals(self) -> Sequence[tuple[int, int, int, int]]:
         """The intervals as (start, end, weight, value) tuples, made on access."""
-        return _Rows(lambda *row: row, self.starts, self.ends, self.sizes, self.costs)
+        return _Rows(self.starts, self.ends, self.sizes, self.costs)
 
 
 def export_interval_packing(instance: Instance) -> IntervalPackingInstance:
     """One interval per gap, in (page id, ordinal) order: weight = page size,
-    value = fault cost.
+    value = fault cost.  The four columns are `gap_table`'s own start, end,
+    size and cost arrays, not copies.
 
     Defined for the optional policy only; the forced momentary-fit rule has no
     packing counterpart.
     """
     if instance.policy != OPTIONAL:
         raise UnsupportedPolicyError("interval packing export requires the optional policy")
-    pages = instance.pages
-    pos = request_positions(instance)
-    starts, ends, sizes, costs = array("i"), array("i"), array("q"), array("q")
-    for pid in sorted(pos):
-        p = pos[pid]
-        starts += p[:-1]
-        ends += p[1:]
-        sizes += array("q", (pages[pid].size,)) * (len(p) - 1)
-        costs += array("q", (pages[pid].cost,)) * (len(p) - 1)
-    return IntervalPackingInstance(instance.capacity, starts, ends, sizes, costs)
+    gaps = gap_table(instance)
+    return IntervalPackingInstance(instance.capacity, gaps.starts, gaps.ends, gaps.sizes, gaps.costs)
 
 
 def packing_to_text(packing: IntervalPackingInstance) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gencaching import FORCED, Instance, OPTIONAL, Service, make_instance
+from gencaching import FORCED, Instance, OPTIONAL, Service, gap_table, make_instance
 
 MAX_ORACLE_GAPS = 13  # keeps the brute-force oracle fast
 
@@ -12,6 +12,12 @@ MAX_ORACLE_GAPS = 13  # keeps the brute-force oracle fast
 def gap_pairs(service: Service) -> set[tuple[str, int]]:
     """The chosen gaps of `service` as (page, ordinal) pairs."""
     return {(pid, k) for pid, rs in service.runs.items() for first, last in rs for k in range(first, last + 1)}
+
+
+def gap_rows(instance: Instance) -> list[tuple[str, int, int, int]]:
+    """Every gap of `instance` as (page, ordinal, start, end), in `gap_table` order."""
+    table = gap_table(instance)
+    return list(zip(map(table.page_ids.__getitem__, table.pages), table.ordinals, table.starts, table.ends))
 
 
 def random_tiny_instance(

@@ -21,8 +21,8 @@ from gencaching import (
     check_properties,
     diagnostics,
     diagnostics_to_csv,
-    enumerate_gaps,
     export_interval_packing,
+    gap_table,
     instance_to_text,
     make_instance,
     max_independent_set,
@@ -112,17 +112,17 @@ def test_criterion_1_simple_reduction_equivalence():
                 problems.append(f"{name}: witness invalid")
         # Independent reproduction of the two pinned values.
         k2 = _simple_solved("K2")[0]
-        if len(enumerate_gaps(k2.instance)) > 24:
+        if len(gap_table(k2.instance).starts) > 24:
             problems.append("K2: gap guard unexpectedly blocks brute force")
         elif solve_brute_force(k2.instance).optimal_savings != 16:
             problems.append("K2: brute force disagrees with 16")
         k3 = _simple_solved("K3")[0]
-        if len(enumerate_gaps(k3.instance)) <= 24:
+        if len(gap_table(k3.instance).starts) <= 24:
             problems.append("K3: expected the gap guard to apply")
         checked = 0
         for fraction in (6, 4, 3, 2):
             sub = _prefix_instance(k3.instance, len(k3.instance.requests) // fraction)
-            if len(enumerate_gaps(sub)) > 16:
+            if len(gap_table(sub).starts) > 16:
                 continue
             if solve_exact(sub).optimal_savings != solve_brute_force(sub).optimal_savings:
                 problems.append(f"K3 prefix 1/{fraction}: DP != brute force")

@@ -10,7 +10,8 @@ import random
 import re
 import tracemalloc
 from array import array
-from itertools import combinations
+from itertools import accumulate, combinations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from gencaching import (
     FORCED,
     MODELS,
     FormatError,
-    Gap,
     Graph,
     BudgetExceeded,
     Block,
@@ -35,8 +35,8 @@ from gencaching import (
     Service,
     UnknownGapError,
     construct_service_from_is,
-    enumerate_gaps,
     export_interval_packing,
+    gap_table,
     generate,
     graph_from_text,
     graph_to_text,
@@ -44,7 +44,7 @@ from gencaching import (
     instance_to_text,
     make_instance,
     max_independent_set,
-    occupancy_profile,
+    merged_occupancy_runs,
     optional_to_forced,
     reduction_from_text,
     reduction_to_text,
@@ -55,7 +55,7 @@ from gencaching import (
     solve_exact,
     validate_service,
 )
-from randgen import gap_pairs
+from randgen import gap_pairs, gap_rows
 
 
 def bare(capacity, pages, reqs, policy=OPTIONAL, scale=1):
@@ -66,22 +66,30 @@ def bare(capacity, pages, reqs, policy=OPTIONAL, scale=1):
 
 
 def test_gaps_ordered_by_page_then_ordinal():
-    inst = bare(4, [("a", 1, 1), ("b", 1, 1)], ["b", "a", "b", "a", "b"])
-    assert enumerate_gaps(inst) == [
-        Gap("a", 0, 1, 3),
-        Gap("b", 0, 0, 2),
-        Gap("b", 1, 2, 4),
+    inst = bare(4, [("a", 1, 1), ("b", 2, 3)], ["b", "a", "b", "a", "b"])
+    assert gap_rows(inst) == [
+        ("a", 0, 1, 3),
+        ("b", 0, 0, 2),
+        ("b", 1, 2, 4),
     ]
+    table = gap_table(inst)
+    assert table.page_ids == ("a", "b") and list(table.pages) == [0, 1, 1]
+    assert list(table.sizes) == [1, 2, 2] and list(table.costs) == [1, 3, 3]
+    assert [c.typecode for c in (table.pages, table.ordinals, table.starts, table.ends)] == ["i"] * 4
+    assert table.sizes.typecode == table.costs.typecode == "q"
+    # A later page with more gaps than any before it.
+    inst = bare(4, [("a", 1, 1), ("b", 1, 1)], ["a", "a", "b", "b", "b", "b"])
+    assert gap_rows(inst) == [("a", 0, 0, 1), ("b", 0, 2, 3), ("b", 1, 3, 4), ("b", 2, 4, 5)]
 
 
 def test_single_request_yields_no_gap():
     inst = bare(4, [("a", 1, 1), ("b", 1, 1)], ["a", "b"])
-    assert enumerate_gaps(inst) == []
+    assert gap_rows(inst) == []
 
 
 def test_adjacent_requests_form_unit_gap():
     inst = bare(4, [("a", 1, 1)], ["a", "a"])
-    assert enumerate_gaps(inst) == [Gap("a", 0, 0, 1)]
+    assert gap_rows(inst) == [("a", 0, 0, 1)]
 
 
 # --- request index --------------------------------------------------------
@@ -187,6 +195,14 @@ def test_requests_view_reads_the_columns():
 def test_instance_checks_its_columns(pages, blocks):
     with pytest.raises(InstanceError):
         Instance(3, _PAGES, pages, blocks)
+
+
+@pytest.mark.parametrize("table", [_PAGES, MappingProxyType(_PAGES)])
+def test_instance_names_its_first_unknown_request(table):
+    # The distinct ids are checked as one set; the error still names the
+    # first position that asks for an unknown page.
+    with pytest.raises(InstanceError, match=r"^request 2 asks for unknown page 'd'$"):
+        Instance(3, table, ("a", "b", "d", "a", "c"), array("i", [-1]) * 5)
 
 
 _TWO_BLOCKS = (Block(0, "initial"), Block(1, "final"))
@@ -378,33 +394,38 @@ def test_failing_bulk_build_restores_the_gc_setting(call, enabled):
 # --- occupancy ----------------------------------------------------------
 
 
+def load_profile(inst, svc):
+    """The total cached size at every position, summed from the load steps."""
+    return list(accumulate(core._load_steps(inst, merged_occupancy_runs(inst, svc))))
+
+
 def test_occupancy_covers_closed_span():
     inst = bare(
         5,
         [("p", 2, 1), ("q", 1, 1), ("r", 1, 1), ("s", 1, 1)],
         ["q", "p", "r", "s", "p"],
     )
-    profile = occupancy_profile(inst, Service.of([("p", 0)]))
+    profile = load_profile(inst, Service.of([("p", 0)]))
     assert profile == [0, 2, 2, 2, 2]
 
 
 def test_occupancy_merges_runs_at_shared_request():
     inst = bare(5, [("p", 2, 1), ("x", 1, 1), ("y", 1, 1)], ["p", "x", "p", "y", "p"])
-    profile = occupancy_profile(inst, Service.of([("p", 0), ("p", 1)]))
+    profile = load_profile(inst, Service.of([("p", 0), ("p", 1)]))
     assert profile == [2, 2, 2, 2, 2]
 
 
 def test_occupancy_empty_service_is_zero():
     inst = bare(5, [("p", 2, 1)], ["p", "p", "p"])
-    assert occupancy_profile(inst, Service.of([])) == [0, 0, 0]
+    assert load_profile(inst, Service.of([])) == [0, 0, 0]
 
 
 def test_unknown_gap_rejected():
     inst = bare(5, [("p", 2, 1)], ["p", "p"])
     with pytest.raises(UnknownGapError):
-        occupancy_profile(inst, Service.of([("p", 5)]))
+        load_profile(inst, Service.of([("p", 5)]))
     with pytest.raises(UnknownGapError):
-        occupancy_profile(inst, Service.of([("nope", 0)]))
+        load_profile(inst, Service.of([("nope", 0)]))
 
 
 # --- validation ---------------------------------------------------------
@@ -422,7 +443,7 @@ def test_capacity_violations_report_positions():
 def test_occupancy_holds_sizes_past_32_bits(size):
     inst = bare(size, [("p", size, 1), ("q", size, 1)], ["p", "q", "p", "q"])
     svc = Service.of([("p", 0), ("q", 0)])
-    assert occupancy_profile(inst, svc) == [size, 2 * size, 2 * size, size]
+    assert load_profile(inst, svc) == [size, 2 * size, 2 * size, size]
     assert validate_service(inst, svc).capacity_violations == (1, 2)
 
 
@@ -509,7 +530,7 @@ def test_unknown_ordinals_fail_at_use_not_at_construction(ordinal):
     inst = bare(5, [("p", 2, 1)], ["p", "p"])
     run = (min(ordinal, 0), max(ordinal, 0))
     for svc in (Service.of([("p", 0), ("p", ordinal)]), Service({"p": [run]})):
-        for use in (occupancy_profile, validate_service, savings):
+        for use in (validate_service, savings):
             with pytest.raises(UnknownGapError, match=f"ordinal {ordinal}"):
                 use(inst, svc)
 
@@ -784,9 +805,9 @@ def instance_and_service(draw):
     pages = [(f"p{i}", rng.randint(1, 3), rng.randint(1, 4)) for i in range(num_pages)]
     reqs = [f"p{rng.randrange(num_pages)}" for _ in range(rng.randint(0, 10))]
     inst = bare(rng.randint(1, 6), pages, reqs)
-    gaps = enumerate_gaps(inst)
+    gaps = gap_rows(inst)
     chosen = [g for g in gaps if draw(st.booleans())]
-    return inst, Service.of((g.page, g.ordinal) for g in chosen)
+    return inst, Service.of((page, k) for page, k, _, _ in chosen)
 
 
 @settings(max_examples=150, deadline=None)
@@ -822,7 +843,7 @@ def test_forced_validity_implies_optional_validity(pair):
 def test_savings_never_exceed_total_gap_cost(pair):
     inst, svc = pair
     if validate_service(inst, svc).ok:
-        total = sum(inst.pages[g.page].cost for g in enumerate_gaps(inst))
+        total = sum(gap_table(inst).costs)
         assert 0 <= savings(inst, svc) <= total
 
 

@@ -18,7 +18,6 @@ from gencaching import (
     check_properties,
     construct_service_from_is,
     diagnostics,
-    enumerate_gaps,
     diagnostics_to_csv,
     extract_is,
     generate,
@@ -38,7 +37,7 @@ from mutations import (
     repeat_in_last_block,
     shift_bit_request,
 )
-from randgen import gap_pairs
+from randgen import gap_pairs, gap_rows
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))
 K2 = Graph(2, ((0, 1),))
@@ -264,7 +263,7 @@ def test_diagnostics_of_empty_service():
 
 def test_diagnostics_requires_valid_service():
     out = reduce_fault_optional(K2, H=1)
-    everything = Service.of((g.page, g.ordinal) for g in enumerate_gaps(out.instance))
+    everything = Service.of((page, k) for page, k, _, _ in gap_rows(out.instance))
     assert not validate_service(out.instance, everything).ok
     with pytest.raises(InvalidServiceError):
         diagnostics(out, everything)

@@ -25,7 +25,7 @@ from gencaching import (
     UnknownGapError,
     default_H,
     edge_page_id,
-    enumerate_gaps,
+    gap_table,
     generate,
     graph_from_text,
     graph_to_text,
@@ -45,7 +45,8 @@ from gencaching import (
     validate_service,
     vertex_page_id,
 )
-from gencaching.reductions import BLOCK_INSERTED
+from gencaching.reductions import BLOCK_INSERTED, instance_or_reduction_from_text
+from randgen import gap_rows
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))  # two edges sharing a vertex
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -492,7 +493,7 @@ def assert_rule_matches_explicit_twin(optional, forced, services, solvers=()):
     assert forced.num_requests == twin.num_requests == 2 * optional.num_requests
     assert list(forced.requests) == list(twin.requests)
     assert forced.requests[::-3] == twin.requests[::-3]
-    assert enumerate_gaps(forced) == enumerate_gaps(twin)
+    assert gap_table(forced) == gap_table(twin)
     assert list(request_positions(forced).items()) == list(request_positions(twin).items())
     assert dict(forced.pages) == dict(twin.pages)
     for service in services:
@@ -505,11 +506,11 @@ def assert_rule_matches_explicit_twin(optional, forced, services, solvers=()):
 def random_services(instance, rng, count):
     """The empty service, two that name gaps the forced instance does not
     have, and `count` random gap subsets of `instance`, dense and sparse."""
-    gaps = enumerate_gaps(instance)
-    services = [Service(), Service.of([("q0", 0)]), Service.of([(gaps[0].page, 10**6)] if gaps else [])]
+    gaps = gap_rows(instance)
+    services = [Service(), Service.of([("q0", 0)]), Service.of([(gaps[0][0], 10**6)] if gaps else [])]
     for i in range(count):
         keep = (0.02, 0.1, 0.3, 0.6)[i % 4]
-        services.append(Service.of((g.page, g.ordinal) for g in gaps if rng.random() < keep))
+        services.append(Service.of((page, k) for page, k, _, _ in gaps if rng.random() < keep))
     return services
 
 
@@ -571,6 +572,17 @@ def test_reduction_text_round_trip(make):
     again = reduction_from_text(text)
     assert again == out
     assert reduction_to_text(again) == text
+
+
+def test_a_solver_input_is_an_instance_or_a_reduction_text():
+    out = reduce_fault_optional(K2, H=1)
+    for inst in (out.instance, optional_to_forced(out)):
+        text = instance_to_text(inst)
+        assert instance_to_text(instance_or_reduction_from_text(text)) == text
+    text = reduction_to_text(out)
+    assert instance_to_text(instance_or_reduction_from_text(text)) == instance_to_text(out.instance)
+    with pytest.raises(FormatError, match="unknown model"):
+        instance_or_reduction_from_text(text.replace("model fault", "model made-up"))
 
 
 def test_reduction_text_rejects_apocrypha():

@@ -25,8 +25,8 @@ from gencaching import (
     OPTIONAL,
     Service,
     UnsupportedPolicyError,
-    enumerate_gaps,
     export_interval_packing,
+    gap_table,
     generate,
     instance_from_text,
     instance_to_text,
@@ -48,7 +48,7 @@ from gencaching.solver import (
     _solve_dense,
     _solve_packed,
 )
-from randgen import gap_pairs, random_tiny_instance
+from randgen import gap_pairs, gap_rows, random_tiny_instance
 from reference_dp import solve_dict
 
 
@@ -105,7 +105,7 @@ def test_forced_momentary_fit_limits_savings():
 def test_exact_budget_exhaustion_raises():
     rng = random.Random(7)
     inst = random_tiny_instance(rng)
-    while not enumerate_gaps(inst):
+    while not gap_table(inst).starts:
         inst = random_tiny_instance(rng)
     with pytest.raises(BudgetExceeded):
         solve_exact(inst, budget=1)
@@ -131,7 +131,7 @@ def test_solve_exact_refuses_from_the_slot_plan(monkeypatch):
 
 def test_brute_force_gap_guard(monkeypatch):
     inst = bare(2, [("p", 1, 1)], ["p"] * 26)
-    assert len(enumerate_gaps(inst)) == 25
+    assert len(gap_table(inst).starts) == 25
     with pytest.raises(BudgetExceeded):
         solve_brute_force(inst)
     # The guard admits exactly BRUTE_FORCE_GAP_GUARD gaps; 2**24 subsets are
@@ -153,6 +153,24 @@ def test_brute_force_refuses_before_building_its_gaps():
     try:
         with pytest.raises(BudgetExceeded, match="^9699 gaps "):
             solve_brute_force(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_brute_force_refuses_a_forced_rule_before_writing_it_out():
+    # A flush rule has its base's gaps, so they are counted from the rule;
+    # writing out one Page per fresh request first took about 0.8 s on
+    # `fault` K3 at default_H.
+    out = generate(CORPUS["K3"], "fault", 8)
+    forced = optional_to_forced(out)
+    gaps = out.instance.num_requests - len(request_positions(out.instance))
+    request_positions(forced)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^{gaps} gaps "):
+            solve_brute_force(forced)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,17 +257,17 @@ def test_exact_matches_brute_force_at_14_to_18_gaps(policy):
 
 def subsets_by_the_validator(inst):
     """(mask, value) of every subset that validate_service accepts."""
-    gaps = enumerate_gaps(inst)
+    gaps = gap_rows(inst)
     found = set()
     for mask in range(1 << len(gaps)):
-        chosen = [gap for i, gap in enumerate(gaps) if mask >> i & 1]
-        if validate_service(inst, Service.of((gap.page, gap.ordinal) for gap in chosen)).ok:
-            found.add((mask, sum(inst.pages[gap.page].cost for gap in chosen)))
+        chosen = [(page, k) for i, (page, k, _, _) in enumerate(gaps) if mask >> i & 1]
+        if validate_service(inst, Service.of(chosen)).ok:
+            found.add((mask, sum(inst.pages[page].cost for page, _ in chosen)))
     return found
 
 
 def feasible(inst):
-    found = list(_feasible_subsets(inst, enumerate_gaps(inst)))
+    found = list(_feasible_subsets(inst, gap_table(inst)))
     assert len(found) == len(set(found))  # each subset is judged once
     return set(found)
 
@@ -479,9 +497,9 @@ def test_exact_results_pinned(name, model, H, forced):
 
 def most_gaps_open_at_one_boundary(inst):
     delta = [0] * (len(inst.requests) + 1)
-    for gap in enumerate_gaps(inst):
-        delta[gap.start] += 1
-        delta[gap.end] -= 1
+    for _, _, start, end in gap_rows(inst):
+        delta[start] += 1
+        delta[end] -= 1
     return max(itertools.accumulate(delta), default=0)
 
 
@@ -660,10 +678,15 @@ def test_packing_mirrors_gaps_verbatim():
 def test_packing_lists_the_gaps_in_order(name):
     for model, H in [("fault", 1), ("fault", 2), ("bit", 1), ("bit", 2), ("simple", None)]:
         inst = generate(CORPUS[name], model, H).instance
+        # Each gap from the page column alone: a request ends the gap that
+        # opened at the page's previous request.
+        previous, gaps = {}, []
+        for t, pid in enumerate(inst.request_pages):
+            if pid in previous:
+                gaps.append((pid, previous[pid], t))
+            previous[pid] = t
         pages = inst.pages
-        want = tuple(
-            (g.start, g.end, pages[g.page].size, pages[g.page].cost) for g in enumerate_gaps(inst)
-        )
+        want = tuple((s, e, pages[pid].size, pages[pid].cost) for pid, s, e in sorted(gaps))
         assert tuple(export_interval_packing(inst).intervals) == want
 
 
@@ -715,7 +738,7 @@ def test_packing_optimum_equals_caching_optimum():
     rng = random.Random(77)
     for _ in range(40):
         inst = random_tiny_instance(rng)
-        if len(enumerate_gaps(inst)) > 10:
+        if len(gap_table(inst).starts) > 10:
             continue
         packing = export_interval_packing(inst)
         assert max_packing_value(packing) == solve_exact(inst).optimal_savings
