@@ -30,10 +30,14 @@ counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
 the normalized-service semantics alone: at position t only page p_t is
 requested, every other cached page covers t with the interior of one chosen
 gap, and p_t is covered iff a chosen gap ends or starts at t.  So a subset is
-valid iff interior(t) + size(p_t) * [p_t covered] <= C at every t under
-`optional`, and interior(t) + size(p_t) <= C under `forced`.  The subsets are
-visited in Gray-code order with one running occupancy, so each costs a few
-int operations instead of a call to the core validator.
+valid iff the chosen gaps (s, e) with s <= t < e fit in C at every boundary
+t|t+1 under `optional`, and interior(t) + size(p_t) <= C at every t under
+`forced`.  It shares no code with the DP: the subsets of up to
+`_PACKED_SUBSET_GAPS` gaps are the fields of one Python int, one per subset,
+whose loads at each boundary or position are a few whole-int additions, and
+a guard bit per field marks the overloaded ones; the other gaps are chosen in
+an outer loop.  The 2^24 subsets the guard admits (`bit` K2 at H=1) take
+about 0.1 s.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from . import core
@@ -64,9 +67,10 @@ BRUTE_FORCE_GAP_GUARD = 24
 # sweep together (`fault` C5 at H=2, 10.4 M cells: 0.20 s against 0.22 s in a
 # fresh process; `fault` K3 at H=3, 12.1 M: 0.26 s against 0.24 s).
 NUMPY_MIN_CELLS = 11_000_000
-# Brute force precomputes its Gray-code steps through at most this many low
-# gaps, so its memory does not grow with the subset count.
-_GRAY_ROUND_GAPS = 10
+# Brute force judges the subsets of at most this many gaps at once, as the
+# fields of one int (2^14 fields of 7 bits for `bit` K2 at H=1: 14 KiB per
+# int).  Of caps 12-17, 14 was fastest on 23 and 24 gaps, that case among them.
+_PACKED_SUBSET_GAPS = 14
 
 
 class BudgetExceeded(RuntimeError):
@@ -175,16 +179,24 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     K4 at H=2 in the packed sweep, 41 MiB in numpy's.  Both sweeps
     break ties alike, so the result (optimum, witness and counters) and the
     refusals do not depend on which runs.  A forced instance from
-    `optional_to_forced` is swept with its fresh requests written out
-    (`core._explicit`).
+    `optional_to_forced` is refused from its base's plan, and swept with its
+    fresh requests written out (`core._explicit`).
     """
-    instance = _explicit(instance)
-    plan = _slot_plan(instance)
+    flush = instance._flush
+    plan = _slot_plan(flush.base if flush else instance)
+    cells = plan.cells
+    if flush:
+        # Fresh pages hold no slot, so the width is the base's; fresh page t
+        # reads the masks of the slots live after base request t.
+        cells += sum(1 << after for _, _, _, after, _ in plan.rows)
     if 1 << plan.width > budget:
         raise BudgetExceeded(
             f"{plan.width} slots give 2^{plan.width} masks, past the budget of {budget} states"
-            f" ({plan.cells} live cells)"
+            f" ({cells} live cells)"
         )
+    if flush:
+        instance = _explicit(instance)
+        plan = _slot_plan(instance)
     if plan.cells >= NUMPY_MIN_CELLS:
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
@@ -348,16 +360,21 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     each request is a few whole-int operations.  A request to slot s selects
     the masks without bit s with one periodic pattern per slot and aligns
     the masks with bit s to them by a shift of w * 2^s bits; a move shifts
-    the masks with the top bit h onto them by w * (2^h - 2^s) bits.  The
-    masks reached are counted from the guards only where the counts already
-    known do not give them.
+    the masks with the top bit h onto them by w * (2^h - 2^s) bits.  Where
+    p was requested before and is requested again, both halves of the layer
+    take one max: `stay | load << shift` against `gain | gain << shift`.
+    The masks reached are counted from the guards only where the counts
+    already known do not give them.
 
     A decision is the guard bits of the masks whose predecessor held p, at
-    a position whose page was requested before.  Decision d is kept in lane
-    j = d mod w of int d // w, shifted down j bits, so w decisions share one
-    int and a live mask costs one bit per decision.  Memory: a few layers of
-    2^L * w bits, the slot patterns (2k ints of 2^k * w bits), and about
-    2^L / 8 bytes per decision.  Ties go to the predecessor that held p.
+    a position whose page was requested before.  At p's last request the
+    fields of the masks with bit s get decision bits too; they are never
+    read, because `_walk_back` undoes the move first, which leaves bit s
+    clear in the mask it reads there.  Decision d is kept in lane j = d mod
+    w of int d // w, shifted down j bits, so w decisions share one int and a
+    live mask costs one bit per decision.  Memory: a few layers of 2^L * w bits,
+    the slot patterns (k ints of 2^k * w bits), and about 2^L / 8 bytes per
+    decision.  Ties go to the predecessor that held p.
     """
     request_pages = instance.request_pages
     pages = instance.pages
@@ -371,8 +388,8 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     # Per live width L: (all bits of its 2^L fields, bit 0 of each, their
     # guards, `low`: `(layer + low & guard).bit_count()` counts the fields
     # reached).  Per slot s: all bits of the fields of masks without bit s,
-    # and their guards, over the 2^k fields of the widest layer; every use is
-    # an `&` with a layer of 2^L fields, which reads only those.
+    # over the 2^k fields of the widest layer; every use is an `&` with a
+    # layer of 2^L fields, which reads only those.
     widths = []
     keeps: list[int] = []
     unit = 1
@@ -386,7 +403,6 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
             keeps.append(full)  # slot `width` keeps the fields below it
             unit |= unit << shift
             full |= full << shift
-    slots = [(keep, keep & guard) for keep in keeps]
 
     sav, held = 1, 0  # only the empty mask is reached, with no savings
     lanes: list[int] = []  # decision d in lane d % w of lanes[d // w]
@@ -407,14 +423,14 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 reach = (sav + low & guard).bit_count()
             transitions += reach
         else:
-            keep, keep_guard = slots[slot]
+            keep = keeps[slot]
             shift = w << slot
             held0 = held & keep
             if not ordinal:
                 # The slot was free: p's first request gives it p's size.
                 held = held0 | (held0 + unit * page.size & keep) << shift
             without = sav & keep
-            over = held0 + fit & keep_guard
+            over = held0 + fit & guard
             load = without ^ without & over - (over >> top)  # open from an uncached p
             stay = load if forced else without  # close from an uncached p
             loads = (load + low & guard).bit_count() if forced or more else 0
@@ -424,14 +440,15 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 cached = holds.bit_count()
                 gain = with_ + (holds >> top) * page.cost  # from a cached p
                 # A guard survives `(gain | guard) - other` iff gain >= other.
-                pick = (gain | guard) - stay & keep_guard
-                sav = stay ^ (gain ^ stay) & pick - (pick >> top)
+                # Where p is requested again, the masks with bit s take the
+                # better of gain and load in the same operations.
                 if more:
-                    pick_open = (gain | guard) - load & keep_guard
-                    sav |= (load ^ (gain ^ load) & pick_open - (pick_open >> top)) << shift
-                    pick |= pick_open << shift
+                    stay |= load << shift
+                    gain |= gain << shift
                 else:
                     held = held0  # the last request drops p's size
+                pick = (gain | guard) - stay & guard
+                sav = stay ^ (gain ^ stay) & pick - (pick >> top)
                 d = decision[t] = len(decision)
                 if d % w:
                     lanes[-1] |= pick >> d % w
@@ -474,14 +491,19 @@ def solve_brute_force(instance: Instance) -> SolveResult:
     """Exhaustive subset enumeration over all gaps; refuses large instances.
 
     Every one of the 2^g subsets is judged by its own occupancy, with no
-    pruning and no call to the core validator: a subset is valid iff at every
-    position t, interior(t) + size(p_t) * [p_t covered at t] <= C under
-    `optional` and interior(t) + size(p_t) <= C under `forced`, where
-    interior(t) sums the sizes of the chosen gaps (s, e) with s < t < e.
-    Under `forced` an uncovered p_t must fit next to the occupancy, and a
-    covered one is part of it, so both cases give the same sum.  p_t is
-    covered iff a chosen gap ends or starts at t; any other cached page
-    covers t with the interior of exactly one chosen gap.
+    pruning and no call to the core validator.  At position t only p_t is
+    requested, every other cached page covers t with the interior of one
+    chosen gap, and p_t is covered iff a chosen gap ends or starts at t.
+    Two chosen gaps of p_t may meet at t, and p_t is still cached once, so
+    under `optional` the occupancy at t is checked as two sums, one per side
+    of t: interior(t) plus size(p_t) if a chosen gap ends at t, and
+    interior(t) plus size(p_t) if one starts at t.  These are the loads
+    across the boundaries t-1|t and t|t+1, so a subset is valid iff at every
+    boundary t|t+1 the chosen gaps (s, e) with s <= t < e fit in C.  Under
+    `forced` an uncovered p_t must fit next to the occupancy, and a covered
+    one is part of it, so a subset is valid iff interior(t) + size(p_t) <= C
+    at every t, where interior(t) sums the chosen gaps with s < t < e.  See
+    `_packed_subsets` for how the subsets are judged many at a time.
 
     Ties are broken towards the lexicographically smallest chosen-gap tuple
     (the rows of `gap_table`, by page id, then ordinal).  `states` counts the
@@ -494,87 +516,122 @@ def solve_brute_force(instance: Instance) -> SolveResult:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
     instance = _explicit(instance)
     gaps = gap_table(instance)
-    best = best_mask = -1
+    low, top, unit, values, rounds = _packed_subsets(instance, gaps)
+    # Gap i is bit g-1-i of a subset's key, h << low | field: of two subsets
+    # of equal value, the one whose gap tuple comes first has the larger key.
+    planes = [values & unit << b for b in range(top)]  # bit b of every field's value
+    best = (-1, -1)  # (value, key)
     valid = 0
-    for mask, value in _feasible_subsets(instance, gaps):
-        valid += 1
-        if value > best or (value == best and _lex_before(mask, best_mask)):
-            best, best_mask = value, mask
-    pairs = [(gaps.page_ids[gaps.pages[i]], gaps.ordinals[i]) for i in range(g) if best_mask >> i & 1]
-    return SolveResult(best, Service.of(pairs), SolveStats(1 << g, valid))
+    for h, h_value, over in rounds:
+        count = (1 << low) - over.bit_count()
+        if not count:
+            continue
+        valid += count
+        # The value bits of the valid fields, narrowed one bit at a time, from
+        # the top, to the fields that hold the largest value.
+        fields = unit << top ^ over
+        fields -= fields >> top
+        value = 0
+        for b in range(top - 1, -1, -1):
+            hit = planes[b] & fields
+            if hit:
+                hit >>= b
+                fields &= (hit << top) - hit
+                value |= 1 << b
+        best = max(best, (h_value + value, h << low | (fields.bit_length() - 1) // (top + 1)))
+    value, key = best
+    pairs = [(gaps.page_ids[gaps.pages[i]], gaps.ordinals[i]) for i in range(g) if key >> g - 1 - i & 1]
+    return SolveResult(value, Service.of(pairs), SolveStats(1 << g, valid))
 
 
-def _lex_before(a: int, b: int) -> bool:
-    """Whether subset mask `a` lists its gaps, in index order, before `b` does,
-    for two masks of equal value.
+def _packed_subsets(
+    instance: Instance, gaps: GapTable
+) -> tuple[int, int, int, int, Iterator[tuple[int, int, int]]]:
+    """Judge the subsets of `gaps` 2^low at a time, one w-bit field per subset.
 
-    Costs are positive, so neither of two such masks is a prefix of the other,
-    and the lowest gap in just one of them decides.
-    """
-    diff = a ^ b
-    return bool(a & diff & -diff)
+    The last `low` rows of `gaps` (at most `_PACKED_SUBSET_GAPS`) are the low
+    gaps: field f of a Python int stands for the subset of them that holds
+    row i iff f has bit g-1-i.  The other `high` = g - low rows are chosen in
+    an outer loop, one round per mask h, which holds row i iff h has bit
+    high-1-i.  Returns (low, top, unit, values, rounds): w = top + 1, `unit`
+    has a 1 in every field, field f of `values` is the cost of its low gaps,
+    and each round is (h, the cost of h's gaps, `over`), where `over` holds
+    the top bit, the guard, of each field whose subset together with h is
+    invalid, by the rule of `solve_brute_force`.
 
-
-def _feasible_subsets(instance: Instance, gaps: GapTable) -> Iterator[tuple[int, int]]:
-    """Yield (mask, value) for every valid subset of `gaps`, in Gray-code order.
-
-    Bit i of `mask` chooses row i of `gaps`; `value` is the chosen gaps' total cost.
-    Validity is the occupancy rule of `solve_brute_force`.  Two chosen gaps
-    of p_t may meet at t, and p_t is still cached once, so under `optional`
-    the rule is checked as two sums, one per side of t: interior(t) plus
-    size(p_t) if a chosen gap ends at t, and interior(t) plus size(p_t) if
-    one starts at t.  Under `forced` both sums are interior(t) + size(p_t).
-
-    Consecutive subsets differ in one gap, so one running occupancy is kept:
-    an int with two bit fields per position, each holding its sum plus
-    2^top - 1 - C.  2^top exceeds every sum, so a field never carries into
-    the next and its top bit is set iff the sum passes C.  Choosing or
-    dropping a gap is one add, and a subset is valid iff no top bit is set.
+    A check is a boundary t|t+1 under `optional` and a position t under
+    `forced`; gap (s, e) counts at the checks s <= t < e, or s < t < e.  Each
+    check keeps one packed load, built in order from per-gap indicator
+    patterns: size * indicator is added where a gap starts counting and
+    subtracted where it stops.  Every field also holds 2^top - 1 - C (plus
+    size(p_t) under `forced`), and 2^top exceeds every load and cost, so a
+    field never carries into the next, and its guard is set iff its load
+    passes C.  A round adds each high gap's size to the checks it counts at,
+    as one `unit` multiple per check, and ORs the checks' guards together.
+    Checks that no chosen set of gaps can overload are left out.
     """
     pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
-    sizes = [pages[pid].size for pid in instance.request_pages]
-    top = (sum(gaps.sizes) + cap + max(sizes, default=0)).bit_length()
-    field = top + 1  # position t's fields start at bits 2t * field and (2t + 1) * field
-    n = len(sizes)
-    unit = (1 << 2 * field * n) // ((1 << 2 * field) - 1)  # a 1 in every field
-    occupancy = unit * ((1 << top) - 1 - cap)
-    if forced:
-        both = 1 + (1 << field)
-        occupancy += sum(size * both << 2 * field * t for t, size in enumerate(sizes))
+    extra = [pages[pid].size if forced else 0 for pid in instance.request_pages]
+    n = len(extra)
+    g = len(gaps.starts)
+    low = min(g, _PACKED_SUBSET_GAPS)
+    high = g - low
+    top = max(sum(gaps.sizes) + cap + max(extra, default=0), sum(gaps.costs)).bit_length()
+    # ind[j]: a 1 in each field whose index has bit j; unit: a 1 in every field.
+    ind: list[int] = []
+    unit = 1
+    for j in range(low):
+        span = (top + 1) << j
+        ind = [x | x << span for x in ind]
+        ind.append(unit << span)
+        unit |= unit << span
     guard = unit << top
 
-    # Per gap, the moves that choose and drop it: (occupancy change, value
-    # change, mask bit).
-    flips = []
+    # Per check: the change of the low gaps' packed load, of the high gaps
+    # counted (a mask like h) and of the most that all gaps counted can load.
+    packed = [0] * (n + 1)
+    covers = [0] * (n + 1)
+    most = [0] * (n + 1)
+    values = 0
     for i, (s, e, size, cost) in enumerate(zip(gaps.starts, gaps.ends, gaps.sizes, gaps.costs)):
-        change = unit >> 2 * field * (n - e + s + 1) << 2 * field * (s + 1)  # s < t < e
-        if not forced:
-            change += (1 << (2 * s + 1) * field) + (1 << 2 * e * field)  # after s, before e
-        change *= size
-        flips.append(((change, cost, 1 << i), (-change, -cost, 1 << i)))
+        s += forced
+        if i < high:
+            covers[s] ^= 1 << high - 1 - i
+            covers[e] ^= 1 << high - 1 - i
+        else:
+            pattern = ind[g - 1 - i]
+            packed[s] += size * pattern
+            packed[e] -= size * pattern
+            values += cost * pattern
+        most[s] += size
+        most[e] -= size
+    checks = []  # (packed load, high gaps counted)
+    load = unit * ((1 << top) - 1 - cap)
+    cover = bound = 0
+    for t in range(n):
+        load += packed[t]
+        cover ^= covers[t]
+        bound += most[t]
+        if bound + extra[t] > cap:
+            checks.append((load + unit * extra[t], cover))
 
-    def flip(k: int) -> tuple[int, int, int]:
-        """The move of step k of the reflected Gray code."""
-        i = (k & -k).bit_length() - 1
-        return flips[i][k >> i + 1 & 1]
+    # The sizes and costs of the high gaps of each h.
+    h_sizes, h_costs = [0], [0]
+    for i in range(high - 1, -1, -1):
+        h_sizes += [x + gaps.sizes[i] for x in h_sizes]
+        h_costs += [x + gaps.costs[i] for x in h_costs]
+    multiples = [unit * k for k in range(max((h_sizes[c] for _, c in checks), default=0) + 1)]
 
-    # The steps through the low gaps repeat every 2^low subsets, except that
-    # gap low-1 runs the other way in odd rounds; a step over a higher gap
-    # leads each round.
-    g = len(gaps.starts)
-    low = min(g // 2, _GRAY_ROUND_GAPS)
-    rounds = [[flip(k) for k in range((j << low) + 1, j + 1 << low)] for j in (0, 1)]
-    mask = value = 0
-    for j in range(1 << g - low):
-        lead = flip(j << low) if j else (0, 0, 0)  # round 0 starts at the empty subset
-        for d, c, bit in chain((lead,), rounds[j & 1]):
-            occupancy += d
-            value += c
-            mask ^= bit
-            if not occupancy & guard:
-                yield mask, value
+    def rounds() -> Iterator[tuple[int, int, int]]:
+        for h in range(1 << high):
+            over = 0
+            for at, cover in checks:
+                over |= at + multiples[h_sizes[h & cover]]
+            yield h, h_costs[h], over & guard
+
+    return low, top, unit, values, rounds()
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from gencaching import (
 from gencaching import core, solver
 from gencaching.solver import (
     NUMPY_MIN_CELLS,
-    _feasible_subsets,
+    _packed_subsets,
     _slot_plan,
     _solve_dense,
     _solve_packed,
@@ -129,13 +129,30 @@ def test_solve_exact_refuses_from_the_slot_plan(monkeypatch):
     assert used == []
 
 
+def test_solve_exact_refuses_a_forced_rule_from_its_base_plan(monkeypatch):
+    # Fresh pages hold no slot, so the base's plan gives the refusal, with the
+    # explicit twin's message, before any fresh page is written out.
+    for out, budget in [
+        (generate(CORPUS["K3"], "fault", 8), DEFAULT_STATE_BUDGET),
+        (generate(CORPUS["K2"], "fault", 1), 4),
+    ]:
+        forced = optional_to_forced(out)
+        with pytest.raises(BudgetExceeded) as twin:
+            solve_exact(core._explicit(forced), budget=budget)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_explicit", lambda instance: pytest.fail("wrote the rule out"))
+            with pytest.raises(BudgetExceeded) as refused:
+                solve_exact(forced, budget=budget)
+        assert str(refused.value) == str(twin.value)
+
+
 def test_brute_force_gap_guard(monkeypatch):
     inst = bare(2, [("p", 1, 1)], ["p"] * 26)
     assert len(gap_table(inst).starts) == 25
     with pytest.raises(BudgetExceeded):
         solve_brute_force(inst)
-    # The guard admits exactly BRUTE_FORCE_GAP_GUARD gaps; 2**24 subsets are
-    # too slow to run, so the boundary is checked on a lowered guard.
+    # The guard admits exactly BRUTE_FORCE_GAP_GUARD gaps; the boundary is
+    # checked on a lowered guard (24 gaps run in test_brute_force_at_the_gap_guard).
     small = bare(2, [("p", 1, 1)], ["p"] * 6)
     monkeypatch.setattr(solver, "BRUTE_FORCE_GAP_GUARD", 4)
     with pytest.raises(BudgetExceeded):
@@ -267,7 +284,19 @@ def subsets_by_the_validator(inst):
 
 
 def feasible(inst):
-    found = list(_feasible_subsets(inst, gap_table(inst)))
+    """(mask, value) of every subset that the packed kernel finds valid, mask
+    bit i = row i of the gap table, read field by field."""
+    gaps = gap_table(inst)
+    g = len(gaps.starts)
+    low, top, _, values, rounds = _packed_subsets(inst, gaps)
+    w = top + 1
+    found = []
+    for h, h_value, over in rounds:
+        for field in range(1 << low):
+            if not over >> field * w + top & 1:
+                key = h << low | field
+                mask = sum(1 << i for i in range(g) if key >> g - 1 - i & 1)
+                found.append((mask, h_value + (values >> field * w & (1 << w) - 1)))
     assert len(found) == len(set(found))  # each subset is judged once
     return set(found)
 
@@ -315,9 +344,8 @@ def test_feasible_subsets_hand_made(capacity, pages, reqs, policy, masks):
 BRUTE_FORCE_DIGESTS = {OPTIONAL: (8008, "b9c9e667096e843c"), FORCED: (8009, "7408d002ecf13897")}
 
 
-@pytest.mark.parametrize("policy", sorted(BRUTE_FORCE_DIGESTS))
-def test_brute_force_results_pinned(policy):
-    seed, want = BRUTE_FORCE_DIGESTS[policy]
+def brute_force_digest(policy):
+    seed, _ = BRUTE_FORCE_DIGESTS[policy]
     rng = random.Random(seed)
     digest = hashlib.sha256()
     for _ in range(150):
@@ -329,7 +357,36 @@ def test_brute_force_results_pinned(policy):
             result.explored.transitions,
         )
         digest.update(repr(row).encode() + b"\n")
-    assert digest.hexdigest()[:16] == want
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("policy", sorted(BRUTE_FORCE_DIGESTS))
+def test_brute_force_results_pinned(policy):
+    assert brute_force_digest(policy) == BRUTE_FORCE_DIGESTS[policy][1]
+
+
+@pytest.mark.parametrize("low", [0, 1, 3])
+def test_brute_force_with_fewer_packed_gaps(monkeypatch, low):
+    # The gaps past the packed ones are chosen in the outer loop; a lower cap
+    # moves more of them there and changes no answer.
+    monkeypatch.setattr(solver, "_PACKED_SUBSET_GAPS", low)
+    for policy in sorted(BRUTE_FORCE_DIGESTS):
+        assert brute_force_digest(policy) == BRUTE_FORCE_DIGESTS[policy][1]
+        rng = random.Random(f"{low} {policy}")
+        for _ in range(2):
+            inst = random_tiny_instance(rng, policy, gaps=range(14, 19), length=(16, 26))
+            brute = solve_brute_force(inst)
+            assert brute.optimal_savings == solve_exact(inst).optimal_savings
+            assert savings(inst, brute.witness) == brute.optimal_savings
+
+
+def test_brute_force_at_the_gap_guard():
+    # `bit` K2 at H=1 has 24 gaps, the most the guard admits.
+    inst = generate(CORPUS["K2"], "bit", 1).instance
+    brute = solve_brute_force(inst)
+    assert solve_exact(inst).optimal_savings == brute.optimal_savings == 31
+    assert (brute.explored.states, brute.explored.transitions) == (1 << 24, 414_720)
+    assert savings(inst, brute.witness) == 31
 
 
 def test_brute_force_counts_subsets_and_valid_ones():
