@@ -37,7 +37,7 @@ t|t+1 under `optional`, and interior(t) + size(p_t) <= C at every t under
 whose loads at each boundary or position are a few whole-int additions, and
 a guard bit per field marks the overloaded ones; the other gaps are chosen in
 an outer loop.  The 2^24 subsets the guard admits (`bit` K2 at H=1) take
-about 0.1 s.
+about 0.2 s.
 """
 
 from __future__ import annotations
@@ -566,8 +566,8 @@ def _packed_subsets(
     subtracted where it stops.  Every field also holds 2^top - 1 - C (plus
     size(p_t) under `forced`), and 2^top exceeds every load and cost, so a
     field never carries into the next, and its guard is set iff its load
-    passes C.  A round adds each high gap's size to the checks it counts at,
-    as one `unit` multiple per check, and ORs the checks' guards together.
+    passes C.  A round adds, at each check, `unit` times the summed size of
+    its high gaps that count there, and ORs the checks' guards together.
     Checks that no chosen set of gaps can overload are left out.
     """
     pages = instance.pages
@@ -622,13 +622,12 @@ def _packed_subsets(
     for i in range(high - 1, -1, -1):
         h_sizes += [x + gaps.sizes[i] for x in h_sizes]
         h_costs += [x + gaps.costs[i] for x in h_costs]
-    multiples = [unit * k for k in range(max((h_sizes[c] for _, c in checks), default=0) + 1)]
 
     def rounds() -> Iterator[tuple[int, int, int]]:
         for h in range(1 << high):
             over = 0
             for at, cover in checks:
-                over |= at + multiples[h_sizes[h & cover]]
+                over |= at + unit * h_sizes[h & cover]
             yield h, h_costs[h], over & guard
 
     return low, top, unit, values, rounds()

@@ -258,8 +258,20 @@ def test_exact_matches_brute_force_hypothesis(seed):
     assert solve_exact(inst).optimal_savings == solve_brute_force(inst).optimal_savings
 
 
-@pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
-def test_exact_matches_brute_force_at_14_to_18_gaps(policy):
+def policies_and_caps(caps):
+    """(policy, cap) parameters: the packed-subset cap as it is (None), then
+    each of `caps`, which moves the gaps past it to the outer loop."""
+    return [
+        pytest.param(policy, cap, id=policy if cap is None else f"{policy}-cap{cap}")
+        for policy in (OPTIONAL, FORCED)
+        for cap in (None, *caps)
+    ]
+
+
+@pytest.mark.parametrize("policy, cap", policies_and_caps([0, 1, 3]))
+def test_exact_matches_brute_force_at_14_to_18_gaps(monkeypatch, policy, cap):
+    if cap is not None:
+        monkeypatch.setattr(solver, "_PACKED_SUBSET_GAPS", cap)
     rng = random.Random(1418 if policy == OPTIONAL else 1419)
     for _ in range(6):
         inst = random_tiny_instance(rng, policy, gaps=range(14, 19), length=(16, 26))
@@ -360,24 +372,11 @@ def brute_force_digest(policy):
     return digest.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("policy", sorted(BRUTE_FORCE_DIGESTS))
-def test_brute_force_results_pinned(policy):
+@pytest.mark.parametrize("policy, cap", policies_and_caps([0, 1, 3]))
+def test_brute_force_results_pinned(monkeypatch, policy, cap):
+    if cap is not None:
+        monkeypatch.setattr(solver, "_PACKED_SUBSET_GAPS", cap)
     assert brute_force_digest(policy) == BRUTE_FORCE_DIGESTS[policy][1]
-
-
-@pytest.mark.parametrize("low", [0, 1, 3])
-def test_brute_force_with_fewer_packed_gaps(monkeypatch, low):
-    # The gaps past the packed ones are chosen in the outer loop; a lower cap
-    # moves more of them there and changes no answer.
-    monkeypatch.setattr(solver, "_PACKED_SUBSET_GAPS", low)
-    for policy in sorted(BRUTE_FORCE_DIGESTS):
-        assert brute_force_digest(policy) == BRUTE_FORCE_DIGESTS[policy][1]
-        rng = random.Random(f"{low} {policy}")
-        for _ in range(2):
-            inst = random_tiny_instance(rng, policy, gaps=range(14, 19), length=(16, 26))
-            brute = solve_brute_force(inst)
-            assert brute.optimal_savings == solve_exact(inst).optimal_savings
-            assert savings(inst, brute.witness) == brute.optimal_savings
 
 
 def test_brute_force_at_the_gap_guard():
@@ -387,6 +386,27 @@ def test_brute_force_at_the_gap_guard():
     assert solve_exact(inst).optimal_savings == brute.optimal_savings == 31
     assert (brute.explored.states, brute.explored.transitions) == (1 << 24, 414_720)
     assert savings(inst, brute.witness) == 31
+
+
+def test_brute_force_with_page_sizes_near_2_to_20():
+    # 15 gaps, so one is chosen in the outer loop, and loads near 2^21.  Its
+    # load is added as `unit` times the size; a table of `unit` multiples up
+    # to the largest load would take tens of GB.  The child's address space
+    # is capped at 512 MiB, so such a table fails with MemoryError.
+    src = Path(solver.__file__).resolve().parent.parent
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from gencaching import make_instance, savings, solve_brute_force, solve_exact\n"
+        "pages = [('a', (1 << 20) + 1, 5), ('b', 1 << 20, 3), ('c', (1 << 20) - 1, 4)]\n"
+        "for policy, optimum, valid in (('optional', 45, 4608), ('forced', 20, 32)):\n"
+        "    inst = make_instance(1 << 21, pages, [(p, None) for p in 'abc' * 6], (), policy)\n"
+        "    brute = solve_brute_force(inst)\n"
+        "    assert brute.optimal_savings == solve_exact(inst).optimal_savings == optimum\n"
+        "    assert savings(inst, brute.witness) == optimum\n"
+        "    assert (brute.explored.states, brute.explored.transitions) == (1 << 15, valid)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)
 
 
 def test_brute_force_counts_subsets_and_valid_ones():
