@@ -144,6 +144,8 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     models = [m for m in args.models.split(",") if m]
+    if not models:
+        raise FormatError(f"--models names no model: {args.models!r}")
     for model in models:
         if model not in MODELS:
             raise FormatError(f"unknown model {model!r}")

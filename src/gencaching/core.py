@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, count, groupby, repeat
-from operator import countOf
+from operator import countOf, index
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -568,10 +568,12 @@ class Service:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, int]]) -> "Service":
-        """The service of (page id, ordinal) pairs, in any order; duplicates count once."""
+        """The service of (page id, ordinal) pairs, in any order; duplicates
+        count once.  An ordinal must be an integer (`operator.index`): a float
+        raises TypeError rather than being truncated."""
         by_page: dict[str, list[tuple[int, int]]] = {}
         for p, k in pairs:
-            k = int(k)
+            k = index(k)
             by_page.setdefault(str(p), []).append((k, k))
         return cls(by_page)
 

@@ -43,7 +43,6 @@ about 0.2 s.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -64,9 +63,11 @@ DEFAULT_STATE_BUDGET = 5_000_000
 BRUTE_FORCE_GAP_GUARD = 24
 # numpy's dense sweep runs when the slot plan's live cells reach this many:
 # below it the packed sweep is faster than numpy's import (about 0.15 s) and
-# sweep together (`fault` C5 at H=2, 10.4 M cells: 0.20 s against 0.22 s in a
-# fresh process; `fault` K3 at H=3, 12.1 M: 0.26 s against 0.24 s).
-NUMPY_MIN_CELLS = 11_000_000
+# sweep together.  Medians of seven fresh processes: `fault` C5 at H=2, 10.4 M
+# cells, 0.13 s against 0.20 s; `fault` K3 at H=3, 12.1 M, 0.10 against
+# 0.16 s; `bit` C5 at H=2, 27.8 M, a tie (0.28 against 0.27 s); `bit` K3 at
+# H=3, 33.7 M, 0.47 against 0.41 s.
+NUMPY_MIN_CELLS = 20_000_000
 # Brute force judges the subsets of at most this many gaps at once, as the
 # fields of one int (2^14 fields of 7 bits for `bit` K2 at H=1: 14 KiB per
 # int).  Of caps 12-17, 14 was fastest on 23 and 24 gaps, that case among them.
@@ -131,18 +132,19 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
     0..L-1, each request touches at most one slot bit plus one move, and the
     slot count is the most gaps open at one boundary.
     """
-    counts = Counter(instance.request_pages)
+    request_pages = instance.request_pages
+    last = dict(zip(request_pages, range(len(request_pages))))  # each page's last position
     seen: dict[str, int] = {}
     slot_of: dict[str, int] = {}
     holder: list[str] = []  # the page in each live slot
     width = cells = 0
     rows = []
-    for page in instance.request_pages:
+    for t, page in enumerate(request_pages):
         live = len(holder)
         cells += 1 << live
         i = seen.get(page, 0)
         seen[page] = i + 1
-        more = i + 1 < counts[page]
+        more = t < last[page]
         move = -1
         if i:
             slot = slot_of[page]
@@ -268,12 +270,15 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
             fit = held[:, 0] <= room
             load = np.where(fit, without, -1)  # open from an uncached p
             stay = load if forced else without  # close from an uncached p
-            transitions += reached(stay)
+            loads = reached(load) if forced or more else 0
+            cached = reached(with_) if ordinal else 0
+            # The reached masks split by bit s: reach - cached lack it.
+            stays = loads if forced else reach - cached
+            transitions += stays + cached
             if more:
-                transitions += reached(load)
+                transitions += loads + cached
             if ordinal:
                 gain = np.where(with_ >= 0, with_ + page.cost, -1)  # from a cached p
-                transitions += reached(with_) * (2 if more else 1)
                 pick = choice[:span].reshape(-1, 2, lo)
                 np.greater_equal(gain, stay, out=pick[:, 0])
                 np.maximum(gain, stay, out=new[:, 0])
@@ -295,7 +300,8 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
                     halves = layer[:span].reshape(2, -1, 2, lo)
                     halves[0, :, 1] = halves[1, :, 0]
             live = after
-            reach = reached(sav[: 1 << live])
+            # As in the packed sweep, only a forced later request needs a count.
+            reach = reached(sav[: 1 << live]) if forced and ordinal else stays + loads
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
@@ -322,15 +328,16 @@ def _largest(instance: Instance, plan: _SlotPlan) -> int:
 
 
 def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], int]) -> Service:
-    """The witness of a dense sweep, read back from the empty mask.
+    """The witness of either sweep, read back from the empty mask.
 
     A gap opened at t is chosen iff the mask after t holds its slot bit;
     `held(t, mask)` is 1 iff the predecessor of `mask` at a position t whose
     page was requested before held that page.  A move after t is undone
     before t is read.
     """
+    request_pages = instance.request_pages
     mask = 0
-    chosen: list[tuple[str, int]] = []
+    chosen: dict[str, list[tuple[int, int]]] = {}  # page -> its chosen ordinals, as runs
     for t in range(len(plan.rows) - 1, -1, -1):
         slot, more, ordinal, _, move = plan.rows[t]
         if slot < 0:
@@ -339,12 +346,12 @@ def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], i
         if move >= 0 and mask & bit:
             mask ^= bit | 1 << move
         if more and mask & bit:
-            chosen.append((instance.request_pages[t], ordinal))
+            chosen.setdefault(request_pages[t], []).append((ordinal, ordinal))
         if ordinal and held(t, mask):
             mask |= bit
         else:
             mask &= ~bit
-    return Service.of(chosen)
+    return Service(chosen)
 
 
 def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
@@ -361,10 +368,30 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     the masks without bit s with one periodic pattern per slot and aligns
     the masks with bit s to them by a shift of w * 2^s bits; a move shifts
     the masks with the top bit h onto them by w * (2^h - 2^s) bits.  Where
-    p was requested before and is requested again, both halves of the layer
-    take one max: `stay | load << shift` against `gain | gain << shift`.
+    p was requested before, the masks with bit s are read in place as `sav
+    ^ without` and shifted down once; where it is requested again, both
+    halves of the layer take one max: `stay | load << shift` against `gain
+    | gain >> shift`.
+
+    The no-fit mask of a page size, the value bits of the fields where such
+    a page does not fit beside `held`, is taken over all of `held`: a
+    request to slot s reads it only in the fields without bit s, whose sizes
+    do not depend on s.  So it is kept per size and recomputed only after
+    `held` or the live width changes, at a first request and a last one (a
+    move comes with a last request).
+
     The masks reached are counted from the guards only where the counts
-    already known do not give them.
+    already known do not give them.  Under `optional` they always do: a
+    valid partial service stays valid without any one of its open gaps, so
+    the reached masks are closed downward, and each fits its cached pages.
+    So every reached mask with bit s has a reached partner without it
+    beside which p fits.  After a request to slot s the masks without bit s
+    are then the `reach - cached` reached masks that lacked it, and the
+    masks with it, where p is requested again, are the `loads` masks that
+    p fits beside.  Under `forced` an uncovered p must fit too, so after a
+    later request the masks without bit s are those p fits beside plus those
+    that held p, whose overlap no count gives: that reach is counted.  After
+    a first request it is twice `loads`.
 
     A decision is the guard bits of the masks whose predecessor held p, at
     a position whose page was requested before.  At p's last request the
@@ -381,9 +408,9 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     forced = instance.policy == FORCED
     top = _largest(instance, plan).bit_length()
     w = top + 1
-    # Per page size: `held + unit * fit` sets the guard of the fields where a
-    # page of that size does not fit beside `held`.
-    fits = {page.size: (1 << top) - 1 - instance.capacity + page.size for page in pages.values()}
+    # `held + unit * (slack + size)` sets the guard of the fields where a page
+    # of that size does not fit beside `held`.
+    slack = (1 << top) - 1 - instance.capacity
 
     # Per live width L: (all bits of its 2^L fields, bit 0 of each, their
     # guards, `low`: `(layer + low & guard).bit_count()` counts the fields
@@ -409,44 +436,45 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     decision: dict[int, int] = {}  # position -> d
     live = 0
     full, unit, guard, low = widths[live]
+    nofits: dict[int, int] = {}  # page size -> the value bits of the fields it does not fit
     reach = 1
     states = transitions = peak = peak_at = 0
     for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
         page = pages[request_pages[t]]
-        fit = unit * fits[page.size]
+        nofit = nofits.get(page.size)
+        if nofit is None:
+            over = held + unit * (slack + page.size) & guard
+            nofit = nofits[page.size] = over - (over >> top)
         if slot < 0:
             # A page requested once: close is the only move, and under forced
             # the page must fit next to the current occupancy.
             if forced:
-                over = held + fit & guard
-                sav ^= sav & over - (over >> top)
+                sav ^= sav & nofit
                 reach = (sav + low & guard).bit_count()
             transitions += reach
         else:
-            keep = keeps[slot]
             shift = w << slot
-            held0 = held & keep
-            if not ordinal:
-                # The slot was free: p's first request gives it p's size.
-                held = held0 | (held0 + unit * page.size & keep) << shift
-            without = sav & keep
-            over = held0 + fit & guard
-            load = without ^ without & over - (over >> top)  # open from an uncached p
+            # At a first request no reached mask holds bit s yet.
+            without = sav & keeps[slot] if ordinal else sav
+            load = without ^ without & nofit  # open from an uncached p
             stay = load if forced else without  # close from an uncached p
             loads = (load + low & guard).bit_count() if forced or more else 0
             if ordinal:
-                with_ = sav >> shift & keep
-                holds = with_ + low & guard  # the reached masks that hold p
+                gain = sav ^ without  # the masks with bit s, in place
+                holds = gain + low & guard  # the reached ones
                 cached = holds.bit_count()
-                gain = with_ + (holds >> top) * page.cost  # from a cached p
+                # From a cached p: its cost in every reached field.
+                gain += holds >> top if page.cost == 1 else (holds >> top) * page.cost
                 # A guard survives `(gain | guard) - other` iff gain >= other.
                 # Where p is requested again, the masks with bit s take the
                 # better of gain and load in the same operations.
                 if more:
                     stay |= load << shift
-                    gain |= gain << shift
+                    gain |= gain >> shift
                 else:
-                    held = held0  # the last request drops p's size
+                    gain >>= shift
+                    held &= keeps[slot]  # the last request drops p's size
+                    nofits.clear()
                 pick = (gain | guard) - stay & guard
                 sav = stay ^ (gain ^ stay) & pick - (pick >> top)
                 d = decision[t] = len(decision)
@@ -455,6 +483,9 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 else:
                     lanes.append(pick)
             else:
+                # The slot was free: p's first request gives it p's size.
+                held |= held + unit * page.size << shift
+                nofits.clear()
                 cached = 0
                 sav = stay | load << shift
             # The reached masks split by bit s: reach - cached lack it.
@@ -470,8 +501,9 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 span = w << move
                 sav = sav & full | (sav >> span) << shift
                 held = held & full | (held >> span) << shift
-            # A first request puts stay and load in disjoint fields.
-            reach = (sav + low & guard).bit_count() if ordinal else stays + loads
+            # Forced reach after a later request is counted; every other
+            # reach follows from the counts (see above).
+            reach = (sav + low & guard).bit_count() if forced and ordinal else stays + loads
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach

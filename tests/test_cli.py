@@ -154,6 +154,15 @@ def test_corpus_command_writes_csv(tmp_path, capsys):
     assert all(line.split(",")[-1] == "0" for line in lines[1:])
 
 
+@pytest.mark.parametrize("models", [",", "", ",,"])
+def test_corpus_command_rejects_an_empty_model_list(capsys, models):
+    # An empty table would be a pass that checked nothing.
+    assert main(["corpus", "--models", models]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "names no model" in err
+
+
 def test_missing_file_is_a_clean_error(capsys):
     assert main(["solve", "--in", "/nonexistent/file"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -492,6 +492,21 @@ def test_service_of_deduplicates():
     assert Service.of([("p", 0), ("p", 0)]) == Service.of([("p", 0)])
 
 
+def test_service_of_takes_integer_ordinals_only():
+    # Any integer type passes; a float is refused, not truncated.
+    assert Service.of([("p", array("i", [1])[0]), ("p", True)]).runs == {"p": ((1, 1),)}
+    for bad in (1.7, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Service.of([("p", bad)])
+
+
+def test_service_of_takes_numpy_ordinals():
+    np = pytest.importorskip("numpy")
+    svc = Service.of([("p", np.int64(2)), ("q", np.int32(0))])
+    assert svc == Service.of([("p", 2), ("q", 0)])
+    assert all(type(k) is int for rs in svc.runs.values() for run in rs for k in run)
+
+
 _PAIRS = st.lists(st.tuples(st.sampled_from("abc"), st.integers(-3, 8) | st.just(2**40)))
 
 

@@ -572,6 +572,26 @@ def test_exact_results_pinned(name, model, H, forced):
     assert digest == EXACT_DIGESTS[name, model, H, forced]
 
 
+# Leading 16 hex digits of sha256 over one repr((optimum, sorted witness
+# pairs, states, transitions, peak_states, peak_position)) line per instance:
+# solve_exact on 150 seeded random_tiny_instance draws per policy, as it
+# answered before the packed sweep took its optional reach from known counts.
+# Unlike assert_backends_agree, this pins the slot plan too.
+EXACT_TINY_DIGESTS = {OPTIONAL: (8010, "3395fbe2ee844140"), FORCED: (8011, "c14d8b638aae4b49")}
+
+
+@pytest.mark.parametrize("policy", [OPTIONAL, FORCED])
+def test_exact_results_on_tiny_instances_pinned(policy):
+    seed, want = EXACT_TINY_DIGESTS[policy]
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        result = solve_exact(random_tiny_instance(rng, policy))
+        row = (result.optimal_savings, sorted(gap_pairs(result.witness)), *astuple(result.explored))
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest()[:16] == want
+
+
 def most_gaps_open_at_one_boundary(inst):
     delta = [0] * (len(inst.requests) + 1)
     for _, _, start, end in gap_rows(inst):
