@@ -17,10 +17,8 @@ moment it is served.
 
 from __future__ import annotations
 
-import gc
 import sys
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, count, groupby, repeat
@@ -52,23 +50,6 @@ class UnknownGapError(InstanceError):
 
 class InvalidServiceError(ValueError):
     """An operation that needs a valid service was given an invalid one."""
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector; restore the caller's setting on exit.
-
-    For builders of acyclic bulk data: a full collection while hundreds of
-    thousands of tuples and dataclasses are alive rescans them all and frees
-    nothing, and the allocations trigger one again and again.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -603,24 +584,6 @@ def request_positions(instance: Instance) -> Mapping[str, array]:
 def _page_column(instance: Instance) -> Iterable[str]:
     """The page id at every position, under a flush rule too."""
     return instance._flush.column() if instance._flush else instance.request_pages
-
-
-def _explicit(instance: Instance) -> Instance:
-    """`instance` with its flush rule, if any, written out: one `Page` and
-    one entry of each column per fresh request, as in a forced instance read
-    from text.  For the solvers, whose instances are small."""
-    flush = instance._flush
-    if flush is None:
-        return instance
-    fresh = list(flush.fresh_ids())
-    table = dict(flush.base.pages)
-    with _gc_paused():
-        table.update((pid, Page(pid, flush.size, flush.cost)) for pid in fresh)
-    request_pages = tuple(chain.from_iterable(zip(flush.base.request_pages, fresh)))
-    return Instance(
-        instance.capacity, table, request_pages, array("i", [-1]) * len(request_pages), (),
-        FORCED, instance.cost_scale,
-    )
 
 
 def gap_table(instance: Instance) -> GapTable:

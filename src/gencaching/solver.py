@@ -23,7 +23,9 @@ the plan's live cells, the sum of 2^L_t, reach `NUMPY_MIN_CELLS` and numpy
 imports, and the packed sweep everywhere else.  Both explore the same
 reachable masks and give ties to the predecessor that held the requested
 page, so the optimum, the witness and the counters do not depend on the
-choice.
+choice.  A forced instance from `optional_to_forced` keeps its fresh
+requests as one rule: the slot plan reads it and gives the sweeps each
+position's page, so nothing is written out per fresh request.
 
 `solve_brute_force` is the independent oracle for the DP, guarded to small gap
 counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
@@ -52,8 +54,9 @@ from .core import (
     OPTIONAL,
     GapTable,
     Instance,
+    Page,
     Service,
-    _explicit,
+    _page_column,
     _Rows,
     gap_table,
     request_positions,
@@ -113,11 +116,16 @@ class _SlotPlan:
     request iff the ordinal is positive.  The slot is -1 for a page requested
     once, which has no gap.  The live slots after t are 0..live-1.  `move` is
     -1, or the top slot whose page moves into the slot freed at t right after
-    t.  `width` is the slot count k, the most slots live at once.  `cells`
-    counts the live cells, the masks a dense sweep reads: 2^L summed over the
-    positions, where L is the larger live count on either side of t."""
+    t.  `pages` holds the `Page` at each position, and `counts` pairs each
+    page of the table, and a flush rule's stand-in page, with its request
+    count.  `width` is the slot count k,
+    the most slots live at once.  `cells` counts the live cells, the masks a
+    dense sweep reads: 2^L summed over the positions, where L is the larger
+    live count on either side of t."""
 
-    rows: tuple[tuple[int, bool, int, int, int], ...]
+    rows: list[tuple[int, bool, int, int, int]]
+    pages: list[Page]
+    counts: list[tuple[Page, int]]
     width: int
     cells: int
 
@@ -131,17 +139,29 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
     slot L-1 then moves to the freed slot, so the live slots are always
     0..L-1, each request touches at most one slot bit plus one move, and the
     slot count is the most gaps open at one boundary.
+
+    Under a flush rule the plan walks the base's requests and puts a row
+    after each for its fresh request.  A fresh page is requested once, so
+    it holds no slot, and the width is the base's.  Nothing reads a fresh
+    page's id, so one stand-in `Page` of the rule's size and cost is the
+    page at every fresh position.
     """
-    request_pages = instance.request_pages
+    flush = instance._flush
+    base = flush.base if flush is not None else instance
+    request_pages = base.request_pages
     last = dict(zip(request_pages, range(len(request_pages))))  # each page's last position
     seen: dict[str, int] = {}
     slot_of: dict[str, int] = {}
     holder: list[str] = []  # the page in each live slot
     width = cells = 0
+    # Under a rule the fresh request before t reads the same masks as t.  No
+    # fresh request precedes the first, and the one after the last reads the
+    # empty mask alone, so the two ends even out.
+    reads = 1 if flush is None else 2
     rows = []
     for t, page in enumerate(request_pages):
         live = len(holder)
-        cells += 1 << live
+        cells += reads << live
         i = seen.get(page, 0)
         seen[page] = i + 1
         more = t < last[page]
@@ -164,7 +184,24 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
         else:
             slot = -1
         rows.append((slot, more, i, len(holder), move))
-    return _SlotPlan(tuple(rows), width, cells)
+    table = base.pages
+    pages = list(map(table.__getitem__, request_pages))
+    counts = [(page, seen.get(pid, 0)) for pid, page in table.items()]
+    if flush is not None and pages:  # with no requests the rule's size is 0, no page size
+        # Fresh request t follows base request t: requested once, it holds no
+        # slot and leaves the slots live after t live.  Rows are shared per
+        # live count: a tuple per fresh request planned forced `fault` K3 at
+        # `default_H` in 0.16 s, against 0.12 s.
+        n = len(request_pages)
+        fresh_rows = [(-1, False, 0, live, -1) for live in range(width + 1)]
+        rows += [fresh_rows[after] for _, _, _, after, _ in rows]
+        fresh = Page(flush.prefix, flush.size, flush.cost)
+        pages += [fresh] * n
+        counts.append((fresh, n))
+        # Interleave: base request t at 2t, its fresh request at 2t + 1.
+        rows[::2], rows[1::2] = rows[:n], rows[n:]
+        pages[::2], pages[1::2] = pages[:n], pages[n:]
+    return _SlotPlan(rows, pages, counts, width, cells)
 
 
 def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
@@ -181,24 +218,16 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     K4 at H=2 in the packed sweep, 41 MiB in numpy's.  Both sweeps
     break ties alike, so the result (optimum, witness and counters) and the
     refusals do not depend on which runs.  A forced instance from
-    `optional_to_forced` is refused from its base's plan, and swept with its
-    fresh requests written out (`core._explicit`).
+    `optional_to_forced` keeps its fresh requests as a rule throughout: the
+    slot plan reads the rule (see `_slot_plan`), and the refusal, the choice
+    of sweep and the result are those of its explicit twin.
     """
-    flush = instance._flush
-    plan = _slot_plan(flush.base if flush else instance)
-    cells = plan.cells
-    if flush:
-        # Fresh pages hold no slot, so the width is the base's; fresh page t
-        # reads the masks of the slots live after base request t.
-        cells += sum(1 << after for _, _, _, after, _ in plan.rows)
+    plan = _slot_plan(instance)
     if 1 << plan.width > budget:
         raise BudgetExceeded(
             f"{plan.width} slots give 2^{plan.width} masks, past the budget of {budget} states"
-            f" ({cells} live cells)"
+            f" ({plan.cells} live cells)"
         )
-    if flush:
-        instance = _explicit(instance)
-        plan = _slot_plan(instance)
     if plan.cells >= NUMPY_MIN_CELLS:
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
@@ -227,8 +256,6 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     """
     import numpy as np
 
-    request_pages = instance.request_pages
-    pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
     cells = 1 << plan.width
@@ -246,8 +273,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     reach = 1
     live = 0
     states = transitions = peak = peak_at = 0
-    for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
-        page = pages[request_pages[t]]
+    for t, ((slot, more, ordinal, after, move), page) in enumerate(zip(plan.rows, plan.pages)):
         room = cap - page.size
         if slot < 0:
             # A page requested once: close is the only move, and under forced
@@ -300,8 +326,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
                     halves = layer[:span].reshape(2, -1, 2, lo)
                     halves[0, :, 1] = halves[1, :, 0]
             live = after
-            # As in the packed sweep, only a forced later request needs a count.
-            reach = reached(sav[: 1 << live]) if forced and ordinal else stays + loads
+            reach = stays + loads if more else stays  # as in the packed sweep
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
@@ -311,7 +336,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     def held(t: int, mask: int) -> int:
         return decisions[t][mask >> 3] >> (mask & 7) & 1
 
-    witness = _walk_back(instance, plan, held)
+    witness = _walk_back(plan, held)
     return SolveResult(int(sav[0]), witness, SolveStats(states, transitions, peak, peak_at))
 
 
@@ -319,15 +344,14 @@ def _largest(instance: Instance, plan: _SlotPlan) -> int:
     """A bound on every number a dense layer holds: savings never exceed the
     total cost, a mask's size is at most one page size per slot, and p's size
     is added to it before comparing with the capacity."""
-    pages = instance.pages
     return max(
-        sum(pages[pid].cost for pid in instance.request_pages),
-        (plan.width + 1) * max((p.size for p in pages.values()), default=0),
+        sum(page.cost * count for page, count in plan.counts),
+        (plan.width + 1) * max((page.size for page, _ in plan.counts), default=0),
         instance.capacity,
     )
 
 
-def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], int]) -> Service:
+def _walk_back(plan: _SlotPlan, held: Callable[[int, int], int]) -> Service:
     """The witness of either sweep, read back from the empty mask.
 
     A gap opened at t is chosen iff the mask after t holds its slot bit;
@@ -335,7 +359,6 @@ def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], i
     page was requested before held that page.  A move after t is undone
     before t is read.
     """
-    request_pages = instance.request_pages
     mask = 0
     chosen: dict[str, list[tuple[int, int]]] = {}  # page -> its chosen ordinals, as runs
     for t in range(len(plan.rows) - 1, -1, -1):
@@ -346,7 +369,7 @@ def _walk_back(instance: Instance, plan: _SlotPlan, held: Callable[[int, int], i
         if move >= 0 and mask & bit:
             mask ^= bit | 1 << move
         if more and mask & bit:
-            chosen.setdefault(request_pages[t], []).append((ordinal, ordinal))
+            chosen.setdefault(plan.pages[t].id, []).append((ordinal, ordinal))
         if ordinal and held(t, mask):
             mask |= bit
         else:
@@ -380,18 +403,18 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     `held` or the live width changes, at a first request and a last one (a
     move comes with a last request).
 
-    The masks reached are counted from the guards only where the counts
-    already known do not give them.  Under `optional` they always do: a
-    valid partial service stays valid without any one of its open gaps, so
-    the reached masks are closed downward, and each fits its cached pages.
-    So every reached mask with bit s has a reached partner without it
-    beside which p fits.  After a request to slot s the masks without bit s
-    are then the `reach - cached` reached masks that lacked it, and the
-    masks with it, where p is requested again, are the `loads` masks that
-    p fits beside.  Under `forced` an uncovered p must fit too, so after a
-    later request the masks without bit s are those p fits beside plus those
-    that held p, whose overlap no count gives: that reach is counted.  After
-    a first request it is twice `loads`.
+    The masks reached follow from counts already taken, under both
+    policies.  A valid partial service stays valid without any one of its
+    open gaps: the loads across the boundaries only fall, and so does each
+    interior(t) + size(p_t) that `forced` keeps within C.  So the reached
+    masks are closed downward.  Each also fits its cached pages, since under
+    `forced` the load across t|t+1 is at most interior(t) + size(p_t).  So
+    every reached mask with bit s has a reached partner without it beside
+    which p fits.  After a request to slot s the masks without bit s are
+    then the `reach - cached` reached masks that lacked it under `optional`,
+    and the `loads` masks that p fits beside under `forced`, where an
+    uncovered p must fit too.  The masks with bit s, where p is requested
+    again, are the `loads` masks under both.
 
     A decision is the guard bits of the masks whose predecessor held p, at
     a position whose page was requested before.  At p's last request the
@@ -403,8 +426,6 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     the slot patterns (k ints of 2^k * w bits), and about 2^L / 8 bytes per
     decision.  Ties go to the predecessor that held p.
     """
-    request_pages = instance.request_pages
-    pages = instance.pages
     forced = instance.policy == FORCED
     top = _largest(instance, plan).bit_length()
     w = top + 1
@@ -439,8 +460,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     nofits: dict[int, int] = {}  # page size -> the value bits of the fields it does not fit
     reach = 1
     states = transitions = peak = peak_at = 0
-    for t, (slot, more, ordinal, after, move) in enumerate(plan.rows):
-        page = pages[request_pages[t]]
+    for t, ((slot, more, ordinal, after, move), page) in enumerate(zip(plan.rows, plan.pages)):
         nofit = nofits.get(page.size)
         if nofit is None:
             over = held + unit * (slack + page.size) & guard
@@ -501,9 +521,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 span = w << move
                 sav = sav & full | (sav >> span) << shift
                 held = held & full | (held >> span) << shift
-            # Forced reach after a later request is counted; every other
-            # reach follows from the counts (see above).
-            reach = (sav + low & guard).bit_count() if forced and ordinal else stays + loads
+            reach = stays + loads if more else stays  # from the counts (see above)
         if not reach:
             raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
@@ -515,7 +533,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
         return lanes[d // w] >> mask * w + top - d % w & 1
 
     # Every gap has closed after the last position: only field 0 is left.
-    witness = _walk_back(instance, plan, held_p)
+    witness = _walk_back(plan, held_p)
     return SolveResult(sav - 1, witness, SolveStats(states, transitions, peak, peak_at))
 
 
@@ -539,14 +557,12 @@ def solve_brute_force(instance: Instance) -> SolveResult:
 
     Ties are broken towards the lexicographically smallest chosen-gap tuple
     (the rows of `gap_table`, by page id, then ordinal).  `states` counts the
-    subsets and `transitions` the valid ones.  Fresh requests held as a rule
-    are written out as in `solve_exact`, once the gap count is within the guard.
+    subsets and `transitions` the valid ones.
     """
     # Every request but a page's first ends one gap, under a flush rule too.
     g = instance.num_requests - len(request_positions(instance))
     if g > BRUTE_FORCE_GAP_GUARD:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
-    instance = _explicit(instance)
     gaps = gap_table(instance)
     low, top, unit, values, rounds = _packed_subsets(instance, gaps)
     # Gap i is bit g-1-i of a subset's key, h << low | field: of two subsets
@@ -605,7 +621,7 @@ def _packed_subsets(
     pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
-    extra = [pages[pid].size if forced else 0 for pid in instance.request_pages]
+    extra = [pages[pid].size if forced else 0 for pid in _page_column(instance)]
     n = len(extra)
     g = len(gaps.starts)
     low = min(g, _PACKED_SUBSET_GAPS)

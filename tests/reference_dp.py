@@ -9,7 +9,9 @@ It has no budget: give it small instances.
 
 from __future__ import annotations
 
-from gencaching.core import FORCED, Instance, Service, _gc_paused
+import gc
+
+from gencaching.core import FORCED, Instance, Service
 from gencaching.solver import SolveResult, SolveStats, _SlotPlan
 
 
@@ -21,15 +23,20 @@ def solve_dict(instance: Instance, plan: _SlotPlan) -> SolveResult:
     chosen.  Cells are shared between states and form no reference cycles, so
     the cyclic collector is paused during the sweep.  A mask has at most two
     predecessors, one holding p and one not; on equal savings the one that
-    held p wins, as in the sweeps.
+    held p wins, as in the sweeps.  It reads the instance's own columns, so
+    a forced instance must have its fresh requests written out, as one read
+    from text has.
     """
+    assert instance._flush is None, "give the reference an explicit instance"
     request_pages = instance.request_pages
     pages = instance.pages
     cap = instance.capacity
     forced = instance.policy == FORCED
     cur: dict[int, tuple] = {0: (0, 0, None)}
     states = transitions = peak = peak_at = 0
-    with _gc_paused():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         for t, ((slot, can_open, _, _, move), pid) in enumerate(zip(plan.rows, request_pages)):
             page = pages[pid]
             sizep = page.size
@@ -78,6 +85,9 @@ def solve_dict(instance: Instance, plan: _SlotPlan) -> SolveResult:
             if reach > peak:
                 peak, peak_at = reach, t
             cur = nxt
+    finally:
+        if was_enabled:
+            gc.enable()
 
     # Every gap has closed after the last position: the empty mask is left.
     best, _, chain = cur[0]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencaching import (
@@ -46,6 +47,7 @@ from gencaching import (
     vertex_page_id,
 )
 from gencaching.reductions import BLOCK_INSERTED, instance_or_reduction_from_text
+from gencaching.solver import _slot_plan
 from randgen import gap_rows
 
 WEDGE = Graph(3, ((0, 2), (1, 2)))  # two edges sharing a vertex
@@ -503,6 +505,18 @@ def assert_rule_matches_explicit_twin(optional, forced, services, solvers=()):
         assert _outcome(solver, forced) == _outcome(solver, twin)
 
 
+def assert_plan_matches_explicit_twin(forced):
+    """The slot plan of a forced rule is that of its explicit twin: rows,
+    width, live cells, each position's size and cost, and the page of each
+    position that holds a slot."""
+    plan = _slot_plan(forced)
+    twin = _slot_plan(instance_from_text(instance_to_text(forced)))
+    assert (plan.rows, plan.width, plan.cells) == (twin.rows, twin.width, twin.cells)
+    assert [(p.size, p.cost) for p in plan.pages] == [(p.size, p.cost) for p in twin.pages]
+    slotted = [row[0] >= 0 for row in plan.rows]
+    assert list(compress(plan.pages, slotted)) == list(compress(twin.pages, slotted))
+
+
 def random_services(instance, rng, count):
     """The empty service, two that name gaps the forced instance does not
     have, and `count` random gap subsets of `instance`, dense and sparse."""
@@ -531,7 +545,9 @@ def test_forced_rule_matches_its_explicit_twin_on_the_corpus(name, model, H):
     if H == 1 and name not in ("C5", "K4"):
         services.append(solve_exact(out.instance).witness)
         solvers = (solve_exact,)
-    assert_rule_matches_explicit_twin(out.instance, optional_to_forced(out), services, solvers)
+    forced = optional_to_forced(out)
+    assert_rule_matches_explicit_twin(out.instance, forced, services, solvers)
+    assert_plan_matches_explicit_twin(forced)
 
 
 @settings(max_examples=120, deadline=None)
@@ -541,12 +557,15 @@ def test_forced_rule_matches_its_explicit_twin_on_the_corpus(name, model, H):
     st.lists(st.integers(0, 4), max_size=12),
     st.randoms(use_true_random=False),
 )
+@example(1, [(1, 1)], [], random.Random(0))  # no requests: the rule's size is 0
 def test_forced_rule_matches_its_explicit_twin_hypothesis(capacity, pages, picks, rng):
     table = [(f"p{i}", size, cost) for i, (size, cost) in enumerate(pages)]
     inst = make_instance(capacity, table, [(f"p{i % len(pages)}", None) for i in picks], ())
     services = random_services(inst, rng, 8)
     solvers = (solve_exact, solve_brute_force)
-    assert_rule_matches_explicit_twin(inst, optional_to_forced(inst), services, solvers)
+    forced = optional_to_forced(inst)
+    assert_rule_matches_explicit_twin(inst, forced, services, solvers)
+    assert_plan_matches_explicit_twin(forced)
 
 
 def test_forced_transform_rejects_forced_input():

@@ -130,20 +130,24 @@ def test_solve_exact_refuses_from_the_slot_plan(monkeypatch):
 
 
 def test_solve_exact_refuses_a_forced_rule_from_its_base_plan(monkeypatch):
-    # Fresh pages hold no slot, so the base's plan gives the refusal, with the
-    # explicit twin's message, before any fresh page is written out.
+    # Fresh pages hold no slot, so the plan, which walks the base's requests,
+    # gives the refusal with the explicit twin's message, and builds no page
+    # of the rule's fresh requests (only the one stand-in page).
     for out, budget in [
         (generate(CORPUS["K3"], "fault", 8), DEFAULT_STATE_BUDGET),
         (generate(CORPUS["K2"], "fault", 1), 4),
     ]:
         forced = optional_to_forced(out)
         with pytest.raises(BudgetExceeded) as twin:
-            solve_exact(core._explicit(forced), budget=budget)
+            solve_exact(instance_from_text(instance_to_text(forced)), budget=budget)
+        made = []
         with monkeypatch.context() as m:
-            m.setattr(solver, "_explicit", lambda instance: pytest.fail("wrote the rule out"))
+            real = core.Page.__post_init__
+            m.setattr(core.Page, "__post_init__", lambda page: made.append(page.id) or real(page))
             with pytest.raises(BudgetExceeded) as refused:
                 solve_exact(forced, budget=budget)
         assert str(refused.value) == str(twin.value)
+        assert len(made) == 1 and forced._flush.fresh(made[0]) < 0
 
 
 def test_brute_force_gap_guard(monkeypatch):
@@ -493,7 +497,8 @@ def test_dense_and_dict_backends_agree_on_the_corpus(name):
         assert_backends_agree(generate(graph, model, H).instance)
     simple = generate(graph, "simple", None)
     assert_backends_agree(simple.instance)
-    # The backends sweep the explicit forced instance that solve_exact hands them.
+    # The reference reads explicit columns; a rule's plan is its twin's (see
+    # test_reductions).
     assert_backends_agree(instance_from_text(instance_to_text(optional_to_forced(simple))))
 
 
@@ -510,6 +515,32 @@ def test_packed_sweep_reads_a_partly_filled_last_lane():
         w = solver._largest(inst, plan).bit_length() + 1
         assert decisions > 2 * w and decisions % w
         assert _solve_packed(inst, plan) == solve_dict(inst, plan)
+
+
+def largest_by_requests(instance):
+    """`_largest` with the total cost summed over every request of an
+    explicit instance, one page lookup each."""
+    pages = instance.pages
+    return max(
+        sum(pages[pid].cost for pid in instance.request_pages),
+        (_slot_plan(instance).width + 1) * max((p.size for p in pages.values()), default=0),
+        instance.capacity,
+    )
+
+
+def test_largest_takes_the_total_cost_from_the_request_counts():
+    # The count-weighted sum equals the per-request one, so w and numpy's
+    # dtype do not change; a rule adds its fresh requests as its twin does.
+    rng = random.Random(24)
+    outs = [generate(CORPUS[name], model, 1) for name in sorted(CORPUS) for model in ("fault", "bit")]
+    tiny = [random_tiny_instance(rng, policy) for policy in (OPTIONAL, FORCED) for _ in range(40)]
+    for inst in [out.instance for out in outs] + tiny:
+        assert solver._largest(inst, _slot_plan(inst)) == largest_by_requests(inst)
+    empty = bare(2, [("p", 3, 5)], [])  # its rule has size 0 and no stand-in page
+    for source in outs + tiny[:40] + [empty]:
+        forced = optional_to_forced(source)
+        twin = instance_from_text(instance_to_text(forced))
+        assert solver._largest(forced, _slot_plan(forced)) == largest_by_requests(twin)
 
 
 # Leading 16 hex digits of sha256 over repr((optimum, sorted witness pairs,
