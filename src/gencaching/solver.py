@@ -17,15 +17,22 @@ Two backends run the same sweep.  `_solve_packed` keeps a layer as Python
 ints of 2^L_t bit fields, one per live mask; `_solve_dense` keeps it as numpy
 arrays of 2^k entries and reads only the first 2^L_t.  Both keep one
 decision bit per live mask where the page was requested before, and walk back
-from the empty mask for the witness.  `solve_exact` refuses from the plan alone, before any sweep, when
-the 2^k masks pass the state budget.  Otherwise it runs numpy's sweep where
-the plan's live cells, the sum of 2^L_t, reach `NUMPY_MIN_CELLS` and numpy
-imports, and the packed sweep everywhere else.  Both explore the same
-reachable masks and give ties to the predecessor that held the requested
-page, so the optimum, the witness and the counters do not depend on the
-choice.  A forced instance from `optional_to_forced` keeps its fresh
-requests as one rule: the slot plan reads it and gives the sweeps each
-position's page, so nothing is written out per fresh request.
+from the empty mask for the witness.  The plan is the only step that
+refuses: when the 2^k masks pass the state budget, it raises right after
+its pass over the requests, before any sweep.  Otherwise `solve_exact` runs
+numpy's sweep where the plan's live cells, the sum of 2^L_t, reach
+`NUMPY_MIN_CELLS` and numpy imports, and the packed sweep everywhere else.
+A sweep cannot run out of states: the empty mask is reached at every
+position.  Under `optional`, closing is always allowed, and from the empty
+mask it leaves the empty mask.  Under `forced`, closing an uncached page
+needs it to fit beside the cached ones, and beside none it does: `Instance`
+rejects a requested page larger than C, and a rule's fresh size is at most
+C.  A move takes the top slot's bit, which the empty mask lacks.  Both
+sweeps explore the same reachable masks and give ties to the predecessor
+that held the requested page, so the optimum, the witness and the counters
+do not depend on the choice.  A forced instance from `optional_to_forced`
+keeps its fresh requests as one rule: the slot plan reads it and gives the
+sweeps each position's page, so nothing is written out per fresh request.
 
 `solve_brute_force` is the independent oracle for the DP, guarded to small gap
 counts.  It judges each of the 2^g subsets of gaps by its own occupancy, from
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import (
@@ -109,36 +116,38 @@ class SolveResult:
     explored: SolveStats
 
 
-@dataclass(frozen=True)
-class _SlotPlan:
+class _SlotPlan(NamedTuple):
     """Per position t: (slot, has a later request, ordinal of the request
     among its page's, live slots after t, move); the page had an earlier
     request iff the ordinal is positive.  The slot is -1 for a page requested
     once, which has no gap.  The live slots after t are 0..live-1.  `move` is
     -1, or the top slot whose page moves into the slot freed at t right after
-    t.  `pages` holds the `Page` at each position, and `counts` pairs each
-    page of the table, and a flush rule's stand-in page, with its request
-    count.  `width` is the slot count k,
-    the most slots live at once.  `cells` counts the live cells, the masks a
-    dense sweep reads: 2^L summed over the positions, where L is the larger
-    live count on either side of t."""
+    t.  `pages` holds the `Page` at each position.  `width` is the slot count
+    k, the most slots live at once.  `cells` counts the live cells, the masks
+    a dense sweep reads: 2^L summed over the positions, where L is the larger
+    live count on either side of t.  `largest` bounds every number a layer
+    holds: savings never exceed the total cost, a mask's size is at most one
+    page size per slot, and p's size is added to it before comparing with
+    the capacity."""
 
     rows: list[tuple[int, bool, int, int, int]]
     pages: list[Page]
-    counts: list[tuple[Page, int]]
     width: int
     cells: int
+    largest: int
 
 
-def _slot_plan(instance: Instance) -> _SlotPlan:
+def _slot_plan(instance: Instance, budget: int | None = None) -> _SlotPlan:
     """Give every gap a slot in one sweep over the requests, keeping the live
-    slots compact.
+    slots compact; refuse when the 2^k masks pass `budget`.
 
     A page's first request takes slot L, where L slots are live; its later
     requests keep it, and its last request frees it.  The page in the top
     slot L-1 then moves to the freed slot, so the live slots are always
     0..L-1, each request touches at most one slot bit plus one move, and the
-    slot count is the most gaps open at one boundary.
+    slot count is the most gaps open at one boundary.  The width and the
+    live cells are final when that sweep ends, so a refusal comes right
+    after it, before any `Page` is looked up or built.
 
     Under a flush rule the plan walks the base's requests and puts a row
     after each for its fresh request.  A fresh page is requested once, so
@@ -184,24 +193,29 @@ def _slot_plan(instance: Instance) -> _SlotPlan:
         else:
             slot = -1
         rows.append((slot, more, i, len(holder), move))
+    if budget is not None and 1 << width > budget:
+        raise BudgetExceeded(
+            f"{width} slots give 2^{width} masks, past the budget of {budget} states ({cells} live cells)"
+        )
     table = base.pages
     pages = list(map(table.__getitem__, request_pages))
-    counts = [(page, seen.get(pid, 0)) for pid, page in table.items()]
+    cost = sum(table[pid].cost * count for pid, count in seen.items())
+    size = max((page.size for page in table.values()), default=0)
     if flush is not None and pages:  # with no requests the rule's size is 0, no page size
+        n = len(request_pages)
+        cost += n * flush.cost
+        size = max(size, flush.size)
         # Fresh request t follows base request t: requested once, it holds no
         # slot and leaves the slots live after t live.  Rows are shared per
         # live count: a tuple per fresh request planned forced `fault` K3 at
         # `default_H` in 0.16 s, against 0.12 s.
-        n = len(request_pages)
         fresh_rows = [(-1, False, 0, live, -1) for live in range(width + 1)]
         rows += [fresh_rows[after] for _, _, _, after, _ in rows]
-        fresh = Page(flush.prefix, flush.size, flush.cost)
-        pages += [fresh] * n
-        counts.append((fresh, n))
+        pages += [Page(flush.prefix, flush.size, flush.cost)] * n
         # Interleave: base request t at 2t, its fresh request at 2t + 1.
         rows[::2], rows[1::2] = rows[:n], rows[n:]
         pages[::2], pages[1::2] = pages[:n], pages[n:]
-    return _SlotPlan(rows, pages, counts, width, cells)
+    return _SlotPlan(rows, pages, width, cells, max(cost, (width + 1) * size, instance.capacity))
 
 
 def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
@@ -209,25 +223,21 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
 
     `budget` caps the masks of one layer.  With k slots a layer may hold
     2^k, so 2^k > budget raises BudgetExceeded from the slot plan, in O(n)
-    and before any sweep (never a wrong answer).  Otherwise numpy's dense
-    sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS and numpy
-    can be imported, and the packed sweep in every other case.  Without
-    numpy the large cases take the packed sweep too.  Both keep about one
-    decision bit per live mask at every position whose page was requested
-    before, so their decisions grow with the live cells: 45 MiB for `fault`
-    K4 at H=2 in the packed sweep, 41 MiB in numpy's.  Both sweeps
-    break ties alike, so the result (optimum, witness and counters) and the
-    refusals do not depend on which runs.  A forced instance from
+    and before any sweep (never a wrong answer); nothing else refuses.  So
+    `solve_exact` is the plan, the choice of sweep and the sweep: numpy's
+    dense sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS and
+    numpy can be imported, and the packed sweep in every other case.
+    Without numpy the large cases take the packed sweep too.  Both keep
+    about one decision bit per live mask at every position whose page was
+    requested before, so their decisions grow with the live cells: 45 MiB
+    for `fault` K4 at H=2 in the packed sweep, 41 MiB in numpy's.  Both
+    sweeps break ties alike, so the result (optimum, witness and counters)
+    does not depend on which runs.  A forced instance from
     `optional_to_forced` keeps its fresh requests as a rule throughout: the
     slot plan reads the rule (see `_slot_plan`), and the refusal, the choice
     of sweep and the result are those of its explicit twin.
     """
-    plan = _slot_plan(instance)
-    if 1 << plan.width > budget:
-        raise BudgetExceeded(
-            f"{plan.width} slots give 2^{plan.width} masks, past the budget of {budget} states"
-            f" ({plan.cells} live cells)"
-        )
+    plan = _slot_plan(instance, budget)
     if plan.cells >= NUMPY_MIN_CELLS:
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
@@ -259,7 +269,7 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
     cap = instance.capacity
     forced = instance.policy == FORCED
     cells = 1 << plan.width
-    dtype = np.int32 if _largest(instance, plan) < 2**31 - 1 else np.int64
+    dtype = np.int32 if plan.largest < 2**31 - 1 else np.int64
     sav = np.full(cells, -1, dtype)
     sav[0] = 0
     nxt = np.empty_like(sav)
@@ -327,8 +337,6 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
                     halves[0, :, 1] = halves[1, :, 0]
             live = after
             reach = stays + loads if more else stays  # as in the packed sweep
-        if not reach:
-            raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
         if reach > peak:
             peak, peak_at = reach, t
@@ -338,17 +346,6 @@ def _solve_dense(instance: Instance, plan: _SlotPlan) -> SolveResult:
 
     witness = _walk_back(plan, held)
     return SolveResult(int(sav[0]), witness, SolveStats(states, transitions, peak, peak_at))
-
-
-def _largest(instance: Instance, plan: _SlotPlan) -> int:
-    """A bound on every number a dense layer holds: savings never exceed the
-    total cost, a mask's size is at most one page size per slot, and p's size
-    is added to it before comparing with the capacity."""
-    return max(
-        sum(page.cost * count for page, count in plan.counts),
-        (plan.width + 1) * max((page.size for page, _ in plan.counts), default=0),
-        instance.capacity,
-    )
 
 
 def _walk_back(plan: _SlotPlan, held: Callable[[int, int], int]) -> Service:
@@ -382,17 +379,17 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
 
     Field m of `sav` holds mask m's best savings + 1 (0 where unreachable)
     and field m of `held` its cached size; with L slots live, both ints hold
-    2^L fields.  Every value stays below 2^top (see `_largest`; savings + 1
-    too, as a page's first request costs at least 1 and saves nothing), so
-    the top bit of a field is a guard: a field-wise comparison or overflow
-    sets it without carrying into the next field, and `flags - (flags >>
-    top)` turns a set of guards into a mask of their fields' value bits.  So
-    each request is a few whole-int operations.  A request to slot s selects
-    the masks without bit s with one periodic pattern per slot and aligns
-    the masks with bit s to them by a shift of w * 2^s bits; a move shifts
-    the masks with the top bit h onto them by w * (2^h - 2^s) bits.  Where
-    p was requested before, the masks with bit s are read in place as `sav
-    ^ without` and shifted down once; where it is requested again, both
+    2^L fields.  Every value stays below 2^top (see `_SlotPlan.largest`;
+    savings + 1 too, as a page's first request costs at least 1 and saves
+    nothing), so the top bit of a field is a guard: a field-wise comparison
+    or overflow sets it without carrying into the next field, and `flags -
+    (flags >> top)` turns a set of guards into a mask of their fields' value
+    bits.  So each request is a few whole-int operations.  A request to slot
+    s selects the masks without bit s with one periodic pattern per slot and
+    aligns the masks with bit s to them by a shift of w * 2^s bits; a move
+    shifts the masks with the top bit h onto them by w * (2^h - 2^s) bits.
+    Where p was requested before, the masks with bit s are read in place as
+    `sav ^ without` and shifted down once; where it is requested again, both
     halves of the layer take one max: `stay | load << shift` against `gain
     | gain >> shift`.
 
@@ -427,7 +424,7 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
     decision.  Ties go to the predecessor that held p.
     """
     forced = instance.policy == FORCED
-    top = _largest(instance, plan).bit_length()
+    top = plan.largest.bit_length()
     w = top + 1
     # `held + unit * (slack + size)` sets the guard of the fields where a page
     # of that size does not fit beside `held`.
@@ -522,8 +519,6 @@ def _solve_packed(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 sav = sav & full | (sav >> span) << shift
                 held = held & full | (held >> span) << shift
             reach = stays + loads if more else stays  # from the counts (see above)
-        if not reach:
-            raise BudgetExceeded(f"no feasible state at position {t}")
         states += reach
         if reach > peak:
             peak, peak_at = reach, t

@@ -23,9 +23,9 @@ def solve_dict(instance: Instance, plan: _SlotPlan) -> SolveResult:
     chosen.  Cells are shared between states and form no reference cycles, so
     the cyclic collector is paused during the sweep.  A mask has at most two
     predecessors, one holding p and one not; on equal savings the one that
-    held p wins, as in the sweeps.  It reads the instance's own columns, so
-    a forced instance must have its fresh requests written out, as one read
-    from text has.
+    held p wins, as in the sweeps.  It asserts that every layer holds the
+    empty mask.  It reads the instance's own columns, so a forced instance
+    must have its fresh requests written out, as one read from text has.
     """
     assert instance._flush is None, "give the reference an explicit instance"
     request_pages = instance.request_pages
@@ -80,6 +80,9 @@ def solve_dict(instance: Instance, plan: _SlotPlan) -> SolveResult:
                 top = 1 << move
                 for mask in [mask for mask in nxt if mask & top]:
                     nxt[mask ^ top | bit] = nxt.pop(mask)
+            # The empty mask is reached at every position (see the solver's
+            # module docstring), which the sweeps rely on to need no refusal.
+            assert 0 in nxt, f"the empty mask is not reached at position {t}"
             reach = len(nxt)
             states += reach
             if reach > peak:
