@@ -137,7 +137,7 @@ class _SlotPlan(NamedTuple):
     largest: int
 
 
-def _slot_plan(instance: Instance, budget: int | None = None) -> _SlotPlan:
+def _slot_plan(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> _SlotPlan:
     """Give every gap a slot in one sweep over the requests, keeping the live
     slots compact; refuse when the 2^k masks pass `budget`.
 
@@ -193,7 +193,7 @@ def _slot_plan(instance: Instance, budget: int | None = None) -> _SlotPlan:
         else:
             slot = -1
         rows.append((slot, more, i, len(holder), move))
-    if budget is not None and 1 << width > budget:
+    if 1 << width > budget:
         raise BudgetExceeded(
             f"{width} slots give 2^{width} masks, past the budget of {budget} states ({cells} live cells)"
         )

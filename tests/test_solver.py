@@ -645,7 +645,7 @@ def most_gaps_open_at_one_boundary(inst):
 )
 def test_slot_count_is_the_most_gaps_open_at_one_boundary(name, model, H, slots):
     inst = generate(CORPUS[name], model, H).instance
-    plan = _slot_plan(inst)
+    plan = _slot_plan(inst, 1 << slots)  # K4 `fault` H=3 is past the default budget
     assert plan.width == slots == most_gaps_open_at_one_boundary(inst)
     assert len(plan.rows) == len(inst.requests)
     # Gaps open at one boundary hold distinct slots, the live slots are
