@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, groupby, repeat
-from operator import countOf, index
+from itertools import accumulate, chain, compress, count, groupby, repeat
+from operator import countOf, gt, index, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -52,6 +53,12 @@ class InvalidServiceError(ValueError):
     """An operation that needs a valid service was given an invalid one."""
 
 
+def _int_at_least(value: object, least: int) -> bool:
+    """Whether `value` is an int of at least `least`, and not a bool or other
+    subclass of int, whose text need not be its digits (`True`)."""
+    return type(value) is int and value >= least
+
+
 @dataclass(frozen=True, slots=True)
 class Page:
     """A page with a positive integer size and fault cost."""
@@ -63,9 +70,9 @@ class Page:
     def __post_init__(self) -> None:
         if self.id.split() != [self.id]:  # empty, or holds whitespace
             raise InstanceError(f"bad page id {self.id!r}")
-        if not isinstance(self.size, int) or self.size < 1:
+        if not _int_at_least(self.size, 1):
             raise InstanceError(f"page {self.id}: size must be a positive int")
-        if not isinstance(self.cost, int) or self.cost < 1:
+        if not _int_at_least(self.cost, 1):
             raise InstanceError(f"page {self.id}: cost must be a positive int")
 
 
@@ -114,10 +121,10 @@ class Block:
         if self.kind not in BLOCK_KINDS:
             raise InstanceError(f"block {self.id}: unknown kind {self.kind!r}")
         if self.kind == BLOCK_PHASE:
-            if self.vertex is None or self.vertex < 0 or self.slot is not None:
+            if not _int_at_least(self.vertex, 0) or self.slot is not None:
                 raise InstanceError(f"block {self.id}: phase block needs a vertex and no slot")
         elif self.kind == BLOCK_INSERTED:
-            if self.slot is None or not 1 <= self.slot <= 5 or self.vertex is not None:
+            if not (_int_at_least(self.slot, 1) and self.slot <= 5) or self.vertex is not None:
                 raise InstanceError(f"block {self.id}: inserted block needs slot 1..5 and no vertex")
         elif self.vertex is not None or self.slot is not None:
             raise InstanceError(f"block {self.id}: {self.kind} block carries no vertex/slot")
@@ -341,11 +348,11 @@ class Instance:
     cost_scale: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.capacity, int) or self.capacity < 1:
+        if not _int_at_least(self.capacity, 1):
             raise InstanceError("capacity must be a positive int")
         if self.policy not in POLICIES:
             raise InstanceError(f"unknown policy {self.policy!r}")
-        if not isinstance(self.cost_scale, int) or self.cost_scale < 1:
+        if not _int_at_least(self.cost_scale, 1):
             raise InstanceError("cost_scale must be a positive int")
         flush = self._flush
         if flush is not None:
@@ -590,7 +597,9 @@ def gap_table(instance: Instance) -> GapTable:
     """The instance's gaps, from one slice of each page's positions.
 
     Under a flush rule only the base's pages have gaps, since each fresh page
-    is requested once; their positions are read doubled.
+    is requested once; their positions are read doubled.  Raises
+    InstanceError, before the page's entries are written, when a page with a
+    gap has a size or cost past the 64-bit columns (2^63 or more).
     """
     by_page = request_positions(instance)
     page_ids: list[str] = []
@@ -601,9 +610,11 @@ def gap_table(instance: Instance) -> GapTable:
         pos = by_page[pid]
         g = len(pos) - 1
         if g:
+            page = instance.pages[pid]
+            if page.size >= 2**63 or page.cost >= 2**63:
+                raise InstanceError(f"page {pid}: size and cost must be below 2^63 in a gap table")
             if len(upto) < g:
                 upto = array("i", range(2 * g))
-            page = instance.pages[pid]
             pages += array("i", (len(page_ids),)) * g
             page_ids.append(pid)
             ordinals += upto[:g]
@@ -638,27 +649,6 @@ def merged_occupancy_runs(
     return runs
 
 
-def _load_steps(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> Sequence[int]:
-    """The change of the total cached size at every position, from the merged
-    runs: the load at t is the sum of entries 0..t (`accumulate`).
-
-    An `array('i')`, 4 bytes per position, which callers sum as they read
-    it, so no list of loads is built; a list when the cached pages' sizes
-    sum past its range.
-    """
-    pages = instance.pages
-    n = instance.num_requests
-    fits = sum(pages[pid].size for pid in runs) < 2**31
-    diff = array("i", [0]) * (n + 1) if fits else [0] * (n + 1)
-    for pid, rs in runs.items():
-        size = pages[pid].size
-        for s, e in rs:
-            diff[s] += size
-            diff[e + 1] -= size
-    diff.pop()  # the slot past the last position
-    return diff
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validating a service; lists every violating position."""
@@ -672,54 +662,47 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     """Check pointwise capacity and, under the forced policy, momentary fit.
 
     A request to page p at position t where p's chosen gaps do not cover t
-    must satisfy size(p) + occupancy(t) <= capacity under `forced`.  The
-    loads are summed position by position only when the peak load passes
-    the capacity, or under `forced` the capacity minus the largest requested
-    size (a flush rule's fresh size): below that every request fits.
+    must satisfy size(p) + occupancy(t) <= capacity under `forced`.  The load
+    changes only where a merged run starts or ends, so the sorted run ends
+    are a step function: each step is a position and the load until the
+    next change.  Only the positions of steps whose load passes the capacity,
+    or under `forced` the capacity minus the largest requested size (a flush
+    rule's fresh size), are visited: below that every request fits.  A
+    visited position reads its page by index and finds whether one of the
+    page's runs covers it by a bisect.
     """
     runs = merged_occupancy_runs(instance, service)
-    cap = instance.capacity
-    peak = _peak_load(instance, runs)
-    check_fit = instance.policy == FORCED and peak > cap - _largest_request(instance)
-    capacity_violations: list[int] = []
-    forced_violations: list[int] = []
-    if peak > cap or check_fit:
-        steps = _load_steps(instance, runs)
-        if peak > cap:
-            capacity_violations = [t for t, load in enumerate(accumulate(steps)) if load > cap]
-    if check_fit:
-        pages = instance.pages
-        cursor: dict[str, int] = {}
-        for t, (pid, load) in enumerate(zip(_page_column(instance), accumulate(steps))):
-            rs = runs.get(pid)
-            covered = False
-            if rs:
-                i = cursor.get(pid, 0)
-                while i < len(rs) and rs[i][1] < t:
-                    i += 1
-                cursor[pid] = i
-                covered = i < len(rs) and rs[i][0] <= t <= rs[i][1]
-            if not covered and pages[pid].size + load > cap:
-                forced_violations.append(t)
-    ok = not capacity_violations and not forced_violations
-    return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))
-
-
-def _peak_load(instance: Instance, runs: Mapping[str, list[tuple[int, int]]]) -> int:
-    """The largest total cached size at one position.
-
-    The load changes only where a run starts or ends, so it is summed over
-    the run ends in position order, ends before starts at one position,
-    instead of over every position.
-    """
-    pages = instance.pages
+    flush, pages = instance._flush, instance.pages
+    gapped = flush.base.pages if flush else pages  # a rule's fresh pages have no gaps
     changes: list[tuple[int, int]] = []
     for pid, rs in runs.items():
-        size = pages[pid].size
+        size = gapped[pid].size
         for s, e in rs:
             changes += ((s, size), (e + 1, -size))
     changes.sort()
-    return max(accumulate(change for _, change in changes), default=0)
+    loads = list(accumulate(map(itemgetter(1), changes)))
+    cap = instance.capacity
+    forced = instance.policy == FORCED
+    bar = cap - _largest_request(instance) if forced else cap
+    page_at = flush.page_at if flush else instance.request_pages.__getitem__
+    start = itemgetter(0)
+    capacity_violations: list[int] = []
+    forced_violations: list[int] = []
+    # Step i holds loads[i] from change i's position up to change i + 1's;
+    # changes at one position make empty steps before the last of them.
+    heavy = compress(zip(changes, changes[1:], loads), map(gt, loads, repeat(bar)))
+    for (lo, _), (hi, _), load in heavy:
+        if load > cap:
+            capacity_violations += range(lo, hi)
+        if forced:
+            for t in range(lo, hi):
+                pid = page_at(t)
+                rs = runs.get(pid, ())
+                i = bisect_right(rs, t, key=start)  # p's runs that start by t
+                if not (i and rs[i - 1][1] >= t) and pages[pid].size + load > cap:
+                    forced_violations.append(t)
+    ok = not capacity_violations and not forced_violations
+    return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))
 
 
 def _largest_request(instance: Instance) -> int:

@@ -57,6 +57,7 @@ from .core import (
     Page,
     _FlushTable,
     _instance_text_parts,
+    _int_at_least,
     _LineReader,
     _read_instance,
 )
@@ -108,25 +109,29 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if not _int_at_least(self.n, 0):
             raise InstanceError("vertex count must be a non-negative int")
-        normalized = []
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InstanceError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise InstanceError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise InstanceError(f"duplicate edge {e}")
-            seen.add(e)
-            normalized.append(e)
-        object.__setattr__(self, "edges", tuple(normalized))
+        seen: set[tuple[int, int]] = set()
+        object.__setattr__(self, "edges", tuple(_edge(u, v, self.n, seen) for u, v in self.edges))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+def _edge(u: object, v: object, n: int, seen: set) -> tuple[int, int]:
+    """The edge (u, v) normalized to (min, max), which is added to `seen`, the
+    normalized edges before it.  Raises InstanceError unless u and v are
+    distinct int vertices below n and the edge is new."""
+    if not (_int_at_least(u, 0) and _int_at_least(v, 0) and u < n and v < n):
+        raise InstanceError(f"edge ({u}, {v}) out of range")
+    if u == v:
+        raise InstanceError(f"self-loop at vertex {u}")
+    e = (u, v) if u < v else (v, u)
+    if e in seen:
+        raise InstanceError(f"duplicate edge {e}")
+    seen.add(e)
+    return e
 
 
 def graph_to_text(graph: Graph) -> str:
@@ -137,17 +142,13 @@ def graph_to_text(graph: Graph) -> str:
 
 
 def _read_edge(r: _LineReader, u_token: str, v_token: str, n: int, seen: set) -> tuple[int, int]:
-    """The edge of the line just read, with the `Graph` checks reported at that line;
+    """The edge of the line just read, with `Graph`'s edge check reported at that line;
     `seen` holds the normalized edges read before."""
     u, v = r.integer(u_token, "vertex"), r.integer(v_token, "vertex")
-    if u >= n or v >= n:
-        raise r.error(f"edge ({u}, {v}) out of range")
-    if u == v:
-        raise r.error(f"self-loop at vertex {u}")
-    e = (min(u, v), max(u, v))
-    if e in seen:
-        raise r.error(f"duplicate edge {e}")
-    seen.add(e)
+    try:
+        _edge(u, v, n, seen)
+    except InstanceError as exc:
+        raise r.error(str(exc)) from exc
     return u, v
 
 
@@ -294,7 +295,7 @@ def generate(graph: Graph, model: str, H: int | None = None) -> ReductionOutput:
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; have {', '.join(MODELS)}")
-    if H is not None and (isinstance(H, bool) or not isinstance(H, int) or H < 1):
+    if H is not None and not _int_at_least(H, 1):
         raise InstanceError("H must be a positive int")
     if model == MODEL_SIMPLE:
         H = 1

@@ -21,7 +21,8 @@ from the empty mask for the witness.  The plan is the only step that
 refuses: when the 2^k masks pass the state budget, it raises right after
 its pass over the requests, before any sweep.  Otherwise `solve_exact` runs
 numpy's sweep where the plan's live cells, the sum of 2^L_t, reach
-`NUMPY_MIN_CELLS` and numpy imports, and the packed sweep everywhere else.
+`NUMPY_MIN_CELLS`, the plan's value bound fits an int64 and numpy imports,
+and the packed sweep everywhere else.
 A sweep cannot run out of states: the empty mask is reached at every
 position.  Under `optional`, closing is always allowed, and from the empty
 mask it leaves the empty mask.  Under `forced`, closing an uncached page
@@ -225,8 +226,10 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     2^k, so 2^k > budget raises BudgetExceeded from the slot plan, in O(n)
     and before any sweep (never a wrong answer); nothing else refuses.  So
     `solve_exact` is the plan, the choice of sweep and the sweep: numpy's
-    dense sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS and
-    numpy can be imported, and the packed sweep in every other case.
+    dense sweep runs iff the plan's live cells reach NUMPY_MIN_CELLS, its
+    value bound `largest` is below 2^63 (int64 holds every number of a
+    layer) and numpy can be imported, and the packed sweep in every other
+    case, whose Python ints have no bound.
     Without numpy the large cases take the packed sweep too.  Both keep
     about one decision bit per live mask at every position whose page was
     requested before, so their decisions grow with the live cells: 45 MiB
@@ -238,7 +241,7 @@ def solve_exact(instance: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> So
     of sweep and the result are those of its explicit twin.
     """
     plan = _slot_plan(instance, budget)
-    if plan.cells >= NUMPY_MIN_CELLS:
+    if plan.cells >= NUMPY_MIN_CELLS and plan.largest < 2**63:
         try:
             import numpy  # noqa: F401  (optional; never imported with the package)
         except ImportError:

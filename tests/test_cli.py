@@ -128,6 +128,19 @@ def test_export_packing(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("interval-packing 1\n")
 
 
+@pytest.mark.parametrize("command", [["solve", "--brute"], ["export-packing"]])
+def test_gap_table_limit_is_a_clean_error(tmp_path, capsys, command):
+    inst = tmp_path / "big.instance"
+    inst.write_text(
+        "caching-instance 1\ncache 1\npolicy optional\nscale 1\npages 1\n"
+        f"a 1 {2**63}\nblocks 0\nrequests 2\na -\na -\n"
+    )
+    assert main([*command, "--in", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: page a: size and cost must be below 2^63")
+
+
 def test_oracle_is(capsys):
     assert main(["oracle-is", "--graph", "K1_3"]) == 0
     lines = capsys.readouterr().out.splitlines()

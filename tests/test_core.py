@@ -10,7 +10,7 @@ import random
 import re
 import tracemalloc
 from array import array
-from itertools import accumulate, combinations
+from itertools import combinations
 from types import MappingProxyType
 
 import pytest
@@ -56,6 +56,7 @@ from gencaching import (
     validate_service,
 )
 from randgen import gap_pairs, gap_rows
+from reference_validator import validate_reference
 
 
 def bare(capacity, pages, reqs, policy=OPTIONAL, scale=1):
@@ -90,6 +91,15 @@ def test_single_request_yields_no_gap():
 def test_adjacent_requests_form_unit_gap():
     inst = bare(4, [("a", 1, 1)], ["a", "a"])
     assert gap_rows(inst) == [("a", 0, 0, 1)]
+
+
+@pytest.mark.parametrize("size, cost", [(2**63, 1), (1, 2**63)])
+def test_gap_table_names_a_page_past_its_64_bit_columns(size, cost):
+    inst = bare(2**64, [("a", 1, 1), ("big", size, cost)], ["big", "a", "big", "a"])
+    with pytest.raises(InstanceError, match=r"^page big: size and cost must be below 2\^63"):
+        gap_table(inst)
+    # A page with no gap is in no column.
+    assert gap_rows(bare(2**64, [("a", 1, 1), ("big", size, cost)], ["big", "a", "a"])) == [("a", 0, 1, 2)]
 
 
 # --- request index --------------------------------------------------------
@@ -310,10 +320,9 @@ def test_reading_a_reduction_peaks_a_few_bytes_per_request():
 
 
 def test_validating_a_service_peaks_a_few_bytes_per_request():
-    # A valid service's peak load is read at its runs' ends; past the
-    # capacity the loads are summed from one array of load steps as they are
-    # read.  A list of steps and a list of loads peaked at about 18 bytes per
-    # request.
+    # The load is a step function read at the runs' ends, so nothing is
+    # allocated per position.  A list of steps and a list of loads peaked at
+    # about 18 bytes per request.
     out = generate(CORPUS["K3"], "bit", 8)
     svc = construct_service_from_is(out, [0])  # builds the request index, as in the pipeline
     report, peak = _peak(lambda: validate_service(out.instance, svc))
@@ -395,8 +404,13 @@ def test_failing_bulk_build_restores_the_gc_setting(call, enabled):
 
 
 def load_profile(inst, svc):
-    """The total cached size at every position, summed from the load steps."""
-    return list(accumulate(core._load_steps(inst, merged_occupancy_runs(inst, svc))))
+    """The total cached size at every position: the sizes of the pages whose
+    merged runs cover it."""
+    runs = merged_occupancy_runs(inst, svc)
+    return [
+        sum(inst.pages[pid].size for pid, rs in runs.items() if any(s <= t <= e for s, e in rs))
+        for t in range(inst.num_requests)
+    ]
 
 
 def test_occupancy_covers_closed_span():
@@ -470,6 +484,48 @@ def test_size_larger_than_cache_is_fine_when_optional():
     inst = bare(1, [("p", 2, 1)], ["p", "p"])
     assert not validate_service(inst, Service.of([("p", 0)])).ok
     assert validate_service(inst, Service.of([])).ok
+
+
+def _random_validation_case(rng, kind):
+    """A random instance of `kind` (optional, explicit forced, or a flush
+    rule over an optional one) with sizes scaled by 2^40 in a third of the
+    cases, and a random service on its gaps."""
+    unit = rng.choice([1, 1, 2**40])
+    num_pages = rng.randint(1, 6)
+    pages = [
+        (f"p{i}", rng.randint(1, 3) * unit + rng.randint(0, 1), rng.randint(1, 4)) for i in range(num_pages)
+    ]
+    reqs = [f"p{rng.randrange(num_pages)}" for _ in range(rng.randint(0, 14))]
+    largest = max((pages[int(pid[1:])][1] for pid in reqs), default=1)
+    capacity = rng.randint(1, 2 * largest)
+    if kind == "forced":
+        inst = bare(max(capacity, largest), pages, reqs, policy=FORCED)
+    else:
+        inst = bare(capacity, pages, reqs)
+        if kind == "rule":
+            inst = optional_to_forced(inst)
+    keep = rng.random()
+    return inst, Service.of((pid, k) for pid, k, _, _ in gap_rows(inst) if rng.random() < keep)
+
+
+def test_validation_matches_the_definition_on_random_instances():
+    rng = random.Random(26)
+    seen = {"capacity": 0, "forced": 0, "big": 0, "unknown": 0}
+    for i in range(1200):
+        kind = ("optional", "forced", "rule")[i % 3]
+        inst, svc = _random_validation_case(rng, kind)
+        report = validate_service(inst, svc)
+        assert report == validate_reference(inst, svc), (kind, inst, svc.runs)
+        seen["capacity"] += bool(report.capacity_violations)
+        seen["forced"] += bool(report.forced_violations)
+        seen["big"] += inst.capacity >= 2**31
+        # A gap past the page's last one, or of a page never requested.
+        bad = Service.of([*gap_pairs(svc), (rng.choice(["p0", "zz"]), rng.choice([-1, 14]))])
+        for validate in (validate_service, validate_reference):
+            with pytest.raises(UnknownGapError):
+                validate(inst, bad)
+        seen["unknown"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # --- savings ------------------------------------------------------------
@@ -568,6 +624,25 @@ def test_service_text_pinned():
 
 
 # --- blocks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: Page("a", v, 1), "page a: size must be a positive int"),
+        (lambda v: Page("a", 1, v), "page a: cost must be a positive int"),
+        (lambda v: bare(v, [], []), "capacity must be a positive int"),
+        (lambda v: bare(1, [], [], scale=v), "cost_scale must be a positive int"),
+        (lambda v: Block(0, "phase", vertex=v), "block 0: phase block needs a vertex and no slot"),
+        (lambda v: Block(0, "inserted", slot=v), "block 0: inserted block needs slot 1..5 and no vertex"),
+    ],
+    ids=["page-size", "page-cost", "capacity", "cost-scale", "block-vertex", "block-slot"],
+)
+def test_integer_fields_refuse_bools_and_floats(build, message, value):
+    # The text formats would write True or 1.0, which their readers refuse.
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        build(value)
 
 
 def test_block_spans_are_contiguous_and_ordered():

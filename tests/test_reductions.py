@@ -79,6 +79,21 @@ def test_graph_rejects_loops_and_duplicates():
         Graph(2, ((0, 3),))
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (True, (), "vertex count must be a non-negative int"),
+        (3, ((True, 2),), r"edge \(True, 2\) out of range"),
+        (3, ((0, 2.0),), r"edge \(0, 2.0\) out of range"),
+    ],
+    ids=["n", "bool-vertex", "float-vertex"],
+)
+def test_graph_refuses_bool_and_float_fields(n, edges, message):
+    # graph_to_text would write True or 2.0, which graph_from_text refuses.
+    with pytest.raises(InstanceError, match=message):
+        Graph(n, edges)
+
+
 def test_graph_text_round_trip():
     text = graph_to_text(WEDGE)
     assert graph_from_text(text) == WEDGE

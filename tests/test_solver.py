@@ -716,6 +716,17 @@ def test_solve_exact_without_numpy_uses_the_packed_sweep(monkeypatch):
     assert len(used) == 1
 
 
+def test_solve_exact_keeps_values_past_64_bits_out_of_the_dense_sweep(monkeypatch):
+    # The optimum, 2^64 + 1, passes an int64, so the dense sweep (here made
+    # to take every case) would wrap it; the plan's value bound sends it to
+    # the packed sweep.
+    inst = bare(4, [("a", 1, 2**62), ("b", 1, 2**62), ("x", 1, 1)], list("abxabxab"))
+    monkeypatch.setattr(solver, "NUMPY_MIN_CELLS", 0)
+    result = solve_exact(inst)
+    assert result.optimal_savings == solve_brute_force(inst).optimal_savings == 2**64 + 1
+    assert savings(inst, result.witness) == 2**64 + 1
+
+
 def test_packed_solve_leaves_numpy_unloaded():
     # `fault` at H=2 on C4 (1,707,004 live cells) and C5 (10,432,508) runs
     # the packed sweep, which needs no numpy import.
