@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import countOf, gt, index, itemgetter
@@ -206,11 +206,9 @@ class _FlushTable(Mapping[str, Page]):
     def __init__(self, base: Instance, prefix: str, size: int, cost: int) -> None:
         self.base, self.prefix, self.size, self.cost = base, prefix, size, cost
 
-    def fresh_ids(self, lo: int = 0, hi: int | None = None) -> Iterator[str]:
-        """The ids of fresh pages lo..hi-1 (hi defaults to their count)."""
-        if hi is None:
-            hi = len(self.base.request_pages)
-        return map(self.prefix.__add__, map(str, range(lo, hi)))
+    def fresh_ids(self) -> Iterator[str]:
+        """The ids of the fresh pages, in request order."""
+        return map(self.prefix.__add__, map(str, range(len(self.base.request_pages))))
 
     def fresh(self, pid: object) -> int:
         """t when `pid` is the id of fresh page t, else -1."""
@@ -243,44 +241,6 @@ class _FlushTable(Mapping[str, Page]):
 
     def __iter__(self) -> Iterator[str]:
         return chain(self.base.pages, self.fresh_ids())
-
-
-class _FlushIndex(Mapping[str, array]):
-    """The page -> positions index of a `_FlushTable` instance, read off its
-    base's index: a base page's positions doubled, made on access, and
-    position 2t + 1 for fresh page t.  It stores nothing per request."""
-
-    __slots__ = ("_table", "_base")
-
-    def __init__(self, table: _FlushTable) -> None:
-        self._table = table
-        self._base = request_positions(table.base)
-
-    def __getitem__(self, pid: str) -> array:
-        pos = self._base.get(pid)
-        if pos is not None:
-            # Shifting the bytes as one int doubles every entry: the doubled
-            # positions fit an array('i'), so no bit crosses into the next entry.
-            raw = pos.tobytes()
-            return array("i", (int.from_bytes(raw, sys.byteorder) << 1).to_bytes(len(raw), sys.byteorder))
-        t = self._table.fresh(pid)
-        if t < 0:
-            raise KeyError(pid)
-        return array("i", (2 * t + 1,))
-
-    def __len__(self) -> int:
-        return len(self._base) + len(self._table.base.request_pages)
-
-    def __iter__(self) -> Iterator[str]:
-        # A base page first requested at t (position 2t) follows the fresh
-        # pages before t and precedes fresh page t.
-        fresh_ids = self._table.fresh_ids
-        t = 0
-        for pid, pos in self._base.items():
-            yield from fresh_ids(t, pos[0])
-            yield pid
-            t = pos[0]
-        yield from fresh_ids(t)
 
 
 class _RequestView(Sequence):
@@ -438,10 +398,8 @@ class Instance:
     @cached_property
     def _positions(self) -> Mapping[str, array]:
         """Read-only page -> positions index, built on first use (see `request_positions`)."""
-        if self._flush:
-            return _FlushIndex(self._flush)
         by_page: dict[str, int | array] = {}
-        for t, pid in enumerate(self.request_pages):
+        for t, pid in enumerate(_page_column(self)):
             pos = by_page.get(pid)
             if pos is None:
                 by_page[pid] = t
@@ -580,10 +538,10 @@ def request_positions(instance: Instance) -> Mapping[str, array]:
 
     Each page's positions are an `array('i')`; a page requested once is
     stored as its position and read as a new one-element array.  The index
-    is built once per instance and shared by every caller, so neither it nor
-    its arrays may be modified.  A forced instance made by
-    `optional_to_forced` reads its optional instance's index, positions
-    doubled, and makes its arrays on access.
+    is built from the page column on first use and shared by every caller,
+    so neither it nor its arrays may be modified.  Under a flush rule the
+    package reads only the optional instance's index (see `gap_table`), so
+    a rule's own index is built only when a caller asks for it.
     """
     return instance._positions
 
@@ -597,16 +555,20 @@ def gap_table(instance: Instance) -> GapTable:
     """The instance's gaps, from one slice of each page's positions.
 
     Under a flush rule only the base's pages have gaps, since each fresh page
-    is requested once; their positions are read doubled.  Raises
-    InstanceError, before the page's entries are written, when a page with a
-    gap has a size or cost past the 64-bit columns (2^63 or more).
+    is requested once, so the table is the base's with every start and end
+    doubled.  Raises InstanceError, before the page's entries are written,
+    when a page with a gap has a size or cost past the 64-bit columns (2^63
+    or more).
     """
+    if instance._flush:
+        gaps = gap_table(instance._flush.base)
+        return replace(gaps, starts=_doubled(gaps.starts), ends=_doubled(gaps.ends))
     by_page = request_positions(instance)
     page_ids: list[str] = []
     pages, ordinals, starts, ends = array("i"), array("i"), array("i"), array("i")
     sizes, costs = array("q"), array("q")
     upto = array("i")  # 0, 1, 2, ...: a page's ordinals are a slice of it, not one int each
-    for pid in sorted(request_positions(instance._flush.base) if instance._flush else by_page):
+    for pid in sorted(by_page):
         pos = by_page[pid]
         g = len(pos) - 1
         if g:
@@ -625,6 +587,14 @@ def gap_table(instance: Instance) -> GapTable:
     return GapTable(tuple(page_ids), pages, ordinals, starts, ends, sizes, costs)
 
 
+def _doubled(positions: array) -> array:
+    """Every position doubled, by one shift of the array's bytes read as an
+    int: the doubled positions fit an array('i'), so no bit crosses into the
+    next entry."""
+    raw = positions.tobytes()
+    return array("i", (int.from_bytes(raw, sys.byteorder) << 1).to_bytes(len(raw), sys.byteorder))
+
+
 def merged_occupancy_runs(
     instance: Instance, service: Service
 ) -> dict[str, list[tuple[int, int]]]:
@@ -633,19 +603,25 @@ def merged_occupancy_runs(
     Adjacent chosen gaps of one page share an endpoint, so each of the
     service's ordinal runs (first, last) covers the one position run from
     the page's request `first` to its request `last + 1`, and occupancy is a
-    per-page union (a page is cached at most once).  Raises UnknownGapError
-    when a chosen ordinal references a gap that does not exist.
+    per-page union (a page is cached at most once).  Under a flush rule the
+    runs are read off the base's index, and only each run's two endpoints
+    are doubled.  Raises UnknownGapError when a chosen ordinal references a
+    gap that does not exist.
     """
-    pos = request_positions(instance)
+    flush = instance._flush
+    pos = request_positions(flush.base if flush else instance)
+    shift = 1 if flush else 0  # under a rule, base request t sits at position 2t
     runs: dict[str, list[tuple[int, int]]] = {}
     for pid, ordinal_runs in service.runs.items():
         p = pos.get(pid)
         if p is None:
-            raise UnknownGapError(f"page {pid!r} has no requests (or does not exist)")
+            if not (flush and flush.fresh(pid) >= 0):
+                raise UnknownGapError(f"page {pid!r} has no requests (or does not exist)")
+            p = (0,)  # a fresh page is requested once, so it has no gap
         first, last = ordinal_runs[0][0], ordinal_runs[-1][1]
         if first < 0 or last >= len(p) - 1:
             raise UnknownGapError(f"page {pid!r} has no gap with ordinal {first if first < 0 else last}")
-        runs[pid] = [(p[a], p[b + 1]) for a, b in ordinal_runs]
+        runs[pid] = [(p[a] << shift, p[b + 1] << shift) for a, b in ordinal_runs]
     return runs
 
 
@@ -669,14 +645,18 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     or under `forced` the capacity minus the largest requested size (a flush
     rule's fresh size), are visited: below that every request fits.  A
     visited position reads its page by index and finds whether one of the
-    page's runs covers it by a bisect.
+    page's runs covers it by a bisect.  Under a flush rule a visited odd
+    position is a fresh page, requested once and so never covered, of the
+    rule's size; an even one 2t reads the base's request t.
     """
     runs = merged_occupancy_runs(instance, service)
-    flush, pages = instance._flush, instance.pages
-    gapped = flush.base.pages if flush else pages  # a rule's fresh pages have no gaps
+    flush = instance._flush
+    base = flush.base if flush else instance  # a rule's fresh pages have no gaps
+    pages, column = base.pages, base.request_pages
+    shift = 1 if flush else 0
     changes: list[tuple[int, int]] = []
     for pid, rs in runs.items():
-        size = gapped[pid].size
+        size = pages[pid].size
         for s, e in rs:
             changes += ((s, size), (e + 1, -size))
     changes.sort()
@@ -684,7 +664,6 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
     cap = instance.capacity
     forced = instance.policy == FORCED
     bar = cap - _largest_request(instance) if forced else cap
-    page_at = flush.page_at if flush else instance.request_pages.__getitem__
     start = itemgetter(0)
     capacity_violations: list[int] = []
     forced_violations: list[int] = []
@@ -696,10 +675,16 @@ def validate_service(instance: Instance, service: Service) -> ValidationReport:
             capacity_violations += range(lo, hi)
         if forced:
             for t in range(lo, hi):
-                pid = page_at(t)
-                rs = runs.get(pid, ())
-                i = bisect_right(rs, t, key=start)  # p's runs that start by t
-                if not (i and rs[i - 1][1] >= t) and pages[pid].size + load > cap:
+                if t & shift:  # a rule's fresh page, which no run covers
+                    size = flush.size
+                else:
+                    pid = column[t >> shift]
+                    rs = runs.get(pid, ())
+                    i = bisect_right(rs, t, key=start)  # p's runs that start by t
+                    if i and rs[i - 1][1] >= t:
+                        continue
+                    size = pages[pid].size
+                if size + load > cap:
                     forced_violations.append(t)
     ok = not capacity_violations and not forced_violations
     return ValidationReport(ok, tuple(capacity_violations), tuple(forced_violations))

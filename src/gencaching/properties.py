@@ -389,16 +389,21 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
     start position but opened strictly earlier (the cache state entering the
     block); an empty block's start is where it would begin.  `slots` = m*H is
     read from the sidecar `H`, so a role table without exactly groups 1..H for
-    every edge raises MissingRolesError.
+    every edge, or with a role of an edge the graph lacks, raises
+    MissingRolesError.
     """
     _roles_of_requested(output)
     inst = output.instance
     roles = output.page_roles
     m = output.graph.m
     groups: dict[int, set[int | None]] = {j: set() for j in range(m)}
-    for role in roles.values():
+    for pid, role in roles.items():
         if role.edge in groups:
             groups[role.edge].add(role.group)
+        elif role.edge is not None:
+            raise MissingRolesError(
+                f"page {pid!r} has a role of edge {role.edge}, but the graph has {m} edges"
+            )
     for j, got in groups.items():
         if got != set(range(1, output.H + 1)):
             raise MissingRolesError(

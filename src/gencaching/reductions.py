@@ -381,8 +381,9 @@ def optional_to_forced(source: ReductionOutput | Instance) -> Instance:
 
     The fresh requests are one rule, id prefix, size M and cost (see
     `core._FlushTable`): the forced instance shares the source's two request
-    columns and its request index, and stores no page, column entry or index
-    entry per fresh request.  Its text is that of the explicit instance.
+    columns, the package reads the source's request index for it, and it
+    stores no page or column entry per fresh request.  Its text is that of
+    the explicit instance.
     """
     model = source.model if isinstance(source, ReductionOutput) else None
     inst = source.instance if isinstance(source, ReductionOutput) else source

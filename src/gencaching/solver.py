@@ -64,7 +64,6 @@ from .core import (
     Instance,
     Page,
     Service,
-    _page_column,
     _Rows,
     gap_table,
     request_positions,
@@ -557,8 +556,9 @@ def solve_brute_force(instance: Instance) -> SolveResult:
     (the rows of `gap_table`, by page id, then ordinal).  `states` counts the
     subsets and `transitions` the valid ones.
     """
-    # Every request but a page's first ends one gap, under a flush rule too.
-    g = instance.num_requests - len(request_positions(instance))
+    # Every request but a page's first ends one gap; a flush rule has its base's gaps.
+    base = instance._flush.base if instance._flush else instance
+    g = base.num_requests - len(request_positions(base))
     if g > BRUTE_FORCE_GAP_GUARD:
         raise BudgetExceeded(f"{g} gaps exceed the brute-force guard of {BRUTE_FORCE_GAP_GUARD}")
     gaps = gap_table(instance)
@@ -616,10 +616,13 @@ def _packed_subsets(
     its high gaps that count there, and ORs the checks' guards together.
     Checks that no chosen set of gaps can overload are left out.
     """
-    pages = instance.pages
+    flush = instance._flush
+    base = flush.base if flush else instance
     cap = instance.capacity
     forced = instance.policy == FORCED
-    extra = [pages[pid].size if forced else 0 for pid in _page_column(instance)]
+    extra = [base.pages[pid].size if forced else 0 for pid in base.request_pages]
+    if flush:  # base request t at 2t, a fresh page of the rule's size at 2t + 1
+        extra = [x for size in extra for x in (size, flush.size)]
     n = len(extra)
     g = len(gaps.starts)
     low = min(g, _PACKED_SUBSET_GAPS)

@@ -121,6 +121,21 @@ def test_diagnose_rejects_a_sidecar_H_the_roles_lack(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_diagnose_rejects_a_role_of_an_edge_the_graph_lacks(tmp_path, capsys):
+    # P3 has edges 0 and 1; edge 2 wrote block 2's s row as (2, 1), not (1, 1).
+    red = tmp_path / "p3.reduction"
+    svc = tmp_path / "p3.service"
+    main(["gen", "--graph", "P3", "--model", "fault", "--H", "1", "--out", str(red)])
+    assert main(["construct", "--in", str(red), "--vertices", "0", "--out", str(svc)]) == 0
+    text = red.read_text()
+    assert "\ne0.1.lead_in lead_in 0 1 -\n" in text
+    red.write_text(text.replace("\ne0.1.lead_in lead_in 0 1 -\n", "\ne0.1.lead_in lead_in 2 1 -\n"))
+    capsys.readouterr()
+    assert main(["diagnose", "--in", str(red), "--service", str(svc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: page 'e0.1.lead_in' has a role of edge 2")
+
+
 def test_export_packing(tmp_path, capsys):
     red = tmp_path / "k2.reduction"
     main(["gen", "--graph", "K2", "--model", "fault", "--H", "1", "--out", str(red)])

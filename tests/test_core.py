@@ -341,18 +341,48 @@ def test_packing_takes_a_few_bytes_per_gap():
 
 
 def test_forced_index_stores_nothing_per_fresh_page():
-    # The forced index reads the optional instance's index, positions
-    # doubled, and makes a fresh page's one-element array on access.  Each
-    # fresh page stored as its bare position took about 70 bytes, and one
-    # array per fresh page about 135.
+    # A rule stores no index until a caller asks for one (the package never
+    # does); asked for, it lists the fresh pages too, each at position 2t + 1.
     out = generate(CORPUS["K3"], "bit", 8)
-    request_positions(out.instance)  # built before, as by check_properties
     forced = optional_to_forced(out)
-    index, retained = _retained(lambda: request_positions(forced))
+    assert "_positions" not in vars(forced)
+    index = request_positions(forced)
     fresh = out.instance.num_requests
     assert len(index) == len(out.instance.pages) + fresh
     assert index[f"q{fresh - 1}"] == array("i", [2 * fresh - 1])
+
+
+def test_the_pipeline_reads_a_rule_through_its_optional_instance(monkeypatch):
+    # The package reads a rule's gaps and runs off the optional instance's
+    # index, doubled, and a fresh position's size off the rule.  Reading the
+    # forced index doubled every page's whole positions array per lookup, and
+    # each fresh position looked up made a new, validated Page.
+    fresh_lookups = []
+    lookup = core._FlushTable.__getitem__
+
+    def counted(table, pid):
+        if table.fresh(pid) >= 0:
+            fresh_lookups.append(pid)
+        return lookup(table, pid)
+
+    monkeypatch.setattr(core._FlushTable, "__getitem__", counted)
+    out = generate(CORPUS["K3"], "bit", 8)
+    request_positions(out.instance)  # built before, as by check_properties
+    forced = optional_to_forced(out)
+    easy = construct_service_from_is(out, [0])
+    assert validate_service(forced, easy).ok
+    every = Service.of((pid, k) for pid, k, _, _ in gap_rows(out.instance))
+    assert validate_service(forced, every).forced_violations  # visits fresh positions
+    total, retained = _retained(lambda: savings(forced, easy))
+    assert total == savings(out.instance, easy)
     assert retained < 1024
+    assert len(gap_table(forced).starts) == len(every)
+    assert instance_to_text(forced).count(" -\n") == forced.num_requests
+    small = generate(CORPUS["K3"], "bit", 1)
+    small_forced = optional_to_forced(small)
+    assert solve_exact(small_forced).optimal_savings == solve_exact(small.instance).optimal_savings
+    assert "_positions" not in vars(forced) and "_positions" not in vars(small_forced)
+    assert fresh_lookups == []
 
 
 def test_forced_transform_stores_nothing_per_request():

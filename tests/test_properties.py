@@ -277,6 +277,19 @@ def test_diagnostics_needs_groups_1_to_H_for_every_edge():
         diagnostics(dataclasses.replace(out, H=7), svc)
 
 
+@pytest.mark.parametrize("edge", [2, 40, -1])
+def test_diagnostics_rejects_a_role_of_an_edge_the_graph_lacks(edge):
+    # P3 has edges 0 and 1.  Edges 2 and -1 counted the page in another
+    # block's row, and edge 40, past the last block, raised a bare IndexError.
+    out = reduce_fault_optional(CORPUS["P3"], H=1)
+    svc = construct_service_from_is(out, frozenset({0}))
+    roles = dict(out.page_roles)
+    roles["e0.1.lead_in"] = dataclasses.replace(roles["e0.1.lead_in"], edge=edge)
+    message = rf"'e0\.1\.lead_in' has a role of edge {edge}, but the graph has 2 edges"
+    with pytest.raises(MissingRolesError, match=message):
+        diagnostics(dataclasses.replace(out, page_roles=roles), svc)
+
+
 def test_diagnostics_csv_shape():
     out = reduce_fault_optional(K2, H=1)
     svc = construct_service_from_is(out, frozenset({0}))

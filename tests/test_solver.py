@@ -187,7 +187,6 @@ def test_brute_force_refuses_a_forced_rule_before_writing_it_out():
     out = generate(CORPUS["K3"], "fault", 8)
     forced = optional_to_forced(out)
     gaps = out.instance.num_requests - len(request_positions(out.instance))
-    request_positions(forced)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=f"^{gaps} gaps "):
