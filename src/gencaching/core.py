@@ -20,10 +20,12 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import countOf, gt, index, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 OPTIONAL = "optional"
@@ -164,29 +166,6 @@ def _compute_spans(request_blocks: array, num_blocks: int) -> tuple[tuple[int, i
         spans.append((lo, hi))
         cursor = hi
     return tuple(spans + [(cursor, cursor)] * (num_blocks - len(spans)))
-
-
-class _PositionIndex(Mapping[str, array]):
-    """A read-only page -> positions index.
-
-    A page requested once is stored as its bare position and read as a
-    one-element `array('i')`, so it costs no array.
-    """
-
-    __slots__ = ("_by_page",)
-
-    def __init__(self, by_page: dict[str, int | array]) -> None:
-        self._by_page = by_page
-
-    def __getitem__(self, pid: str) -> array:
-        pos = self._by_page[pid]
-        return array("i", (pos,)) if type(pos) is int else pos
-
-    def __len__(self) -> int:
-        return len(self._by_page)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._by_page)
 
 
 class _FlushTable(Mapping[str, Page]):
@@ -397,17 +376,19 @@ class Instance:
 
     @cached_property
     def _positions(self) -> Mapping[str, array]:
-        """Read-only page -> positions index, built on first use (see `request_positions`)."""
-        by_page: dict[str, int | array] = {}
+        """One `array('i')` of positions per page behind a read-only proxy,
+        built on first use (see `request_positions`)."""
+        by_page: defaultdict[str, array] = defaultdict(partial(array, "i"))
         for t, pid in enumerate(_page_column(self)):
-            pos = by_page.get(pid)
-            if pos is None:
-                by_page[pid] = t
-            elif type(pos) is int:
-                by_page[pid] = array("i", (pos, t))
-            else:
-                pos.append(t)
-        return _PositionIndex(by_page)
+            by_page[pid].append(t)
+        by_page.default_factory = None  # a missing page raises KeyError
+        return MappingProxyType(by_page)
+
+    def __getstate__(self) -> dict:
+        """The state without the request index, a proxy that does not pickle."""
+        state = dict(vars(self))
+        state.pop("_positions", None)
+        return state
 
     def __repr__(self) -> str:  # the default would dump every request
         return (
@@ -536,12 +517,12 @@ class Service:
 def request_positions(instance: Instance) -> Mapping[str, array]:
     """Positions of each requested page, in request order; pages in first-request order.
 
-    Each page's positions are an `array('i')`; a page requested once is
-    stored as its position and read as a new one-element array.  The index
-    is built from the page column on first use and shared by every caller,
-    so neither it nor its arrays may be modified.  Under a flush rule the
-    package reads only the optional instance's index (see `gap_table`), so
-    a rule's own index is built only when a caller asks for it.
+    Each page's positions are one `array('i')`, the same object on every
+    read.  The index is a read-only mapping built from the page column on
+    first use and shared by every caller, so its arrays may not be modified
+    either.  Under a flush rule the package reads only the optional
+    instance's index (see `gap_table`), so a rule's own index is built only
+    when a caller asks for it.  A copy of the instance builds its own.
     """
     return instance._positions
 

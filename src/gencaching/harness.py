@@ -100,9 +100,10 @@ def round_trip(
     graph_id: str = "",
 ) -> RoundTripReport:
     started = time.perf_counter()
+    # The oracle's guard refuses in O(1), before generate can run out of memory.
+    k_oracle, max_set = max_independent_set(graph)
     output = generate(graph, model, H)
     properties_ok = check_properties(output).all_ok
-    k_oracle, max_set = max_independent_set(graph)
     base = output.threshold(0)
     try:
         result = solve_exact(output.instance, budget=budget)

@@ -199,7 +199,7 @@ def _check_e(output: ReductionOutput) -> str:
     lead_in/carry_back requests.
 
     A block passes when the codes of its early and late requests, 4j + 1 and
-    4j + 3 for edge j (-1 for none), equal their sorted copy: then each edge's
+    4j + 3 for edge j, equal their sorted copy: then each edge's
     early requests come before its late ones.  The codes are odd, so
     `filter(None, ...)` drops only the other requests.  Any other block is
     scanned, which also passes a block whose edges interleave but keep that
@@ -208,7 +208,7 @@ def _check_e(output: ReductionOutput) -> str:
     request_pages = output.instance.request_pages
     roles = output.page_roles
     code_of = {
-        pid: 4 * (-1 if role.edge is None else role.edge) + (1 if role.role in _EARLY else 3)
+        pid: 4 * role.edge + (1 if role.role in _EARLY else 3)
         for pid, role in roles.items()
         if role.role in _EARLY or role.role in _LATE
     }
@@ -396,7 +396,7 @@ def diagnostics(output: ReductionOutput, service: Service) -> BlockDiagnostics:
     inst = output.instance
     roles = output.page_roles
     m = output.graph.m
-    groups: dict[int, set[int | None]] = {j: set() for j in range(m)}
+    groups: dict[int, set[int]] = {j: set() for j in range(m)}
     for pid, role in roles.items():
         if role.edge in groups:
             groups[role.edge].add(role.group)

@@ -164,12 +164,24 @@ def graph_from_text(text: str) -> Graph:
 
 @dataclass(frozen=True, slots=True)
 class PageRole:
-    """Gadget role of a page: its role tag plus edge/group or vertex."""
+    """Gadget role of a page: `vertex` with a vertex of at least 0, or an edge
+    role with an int edge (`diagnostics` checks its range) and a group of at
+    least 1."""
 
     role: str
     edge: int | None = None
     group: int | None = None
     vertex: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.role == ROLE_VERTEX:
+            if not _int_at_least(self.vertex, 0) or (self.edge, self.group) != (None, None):
+                raise InstanceError("a vertex role needs a vertex and no edge or group")
+        elif self.role in EDGE_ROLE_ORDER:
+            if type(self.edge) is not int or not _int_at_least(self.group, 1) or self.vertex is not None:
+                raise InstanceError(f"a {self.role} role needs an edge, a group of at least 1, no vertex")
+        else:
+            raise InstanceError(f"unknown role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -442,10 +454,13 @@ def _read_sidecar(r: _LineReader, instance: Instance) -> ReductionOutput:
     for pid, role, *fields in r.rows(r.value("roles"), 5, shape):
         if pid in roles:
             raise r.error(f"duplicate role for page {pid!r}")
-        if role != ROLE_VERTEX and role not in EDGE_ROLE_ORDER:
-            raise r.error(f"unknown role {role!r}")
         edge, group, vertex = [None if t == "-" else r.integer(t, "role field") for t in fields]
-        roles[pid] = PageRole(role, edge, group, vertex)
+        try:
+            roles[pid] = PageRole(role, edge, group, vertex)  # its own checks, at this line
+        except InstanceError as exc:
+            raise r.error(str(exc)) from exc
+        if vertex is not None and vertex >= n:
+            raise r.error(f"vertex {vertex} is not below n={n}")
     r.end("roles section")
     return ReductionOutput(instance, model, Graph(n, tuple(edges)), H, roles)
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from gencaching import (
+    Graph,
     graph_to_text,
     instance_from_text,
     reduction_from_text,
     reduction_to_text,
     service_from_text,
 )
+from gencaching import harness
 from gencaching.cli import main
 from mutations import base_output, mutate_a
 
@@ -167,6 +169,56 @@ def test_roundtrip_command(capsys):
     assert main(["roundtrip", "--graph", "K2", "--model", "simple"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+def test_roundtrip_command_refuses_past_the_oracle_guard(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(harness, "generate", never)
+    path = tmp_path / "p25.txt"
+    path.write_text(graph_to_text(Graph(25, tuple((v, v + 1) for v in range(24)))))
+    assert main(["roundtrip", "--graph", str(path), "--model", "fault"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 25 vertices exceed the oracle guard of 24\n"
+
+
+@pytest.mark.parametrize(
+    "command, old, new, what",
+    [
+        ("diagnose", "v0 vertex - - 0", "v0 vertex 0 1 0", "a vertex role needs a vertex and no edge or group"),
+        (
+            "diagnose",
+            "e0.1.lead_in lead_in 0 1 -",
+            "e0.1.lead_in lead_in - 1 -",
+            "a lead_in role needs an edge, a group of at least 1, no vertex",
+        ),
+        ("extract", "v0 vertex - - 0", "v0 vertex - - -", "a vertex role needs a vertex and no edge or group"),
+        ("extract", "v0 vertex - - 0", "v0 vertex - - 7", "vertex 7 is not below n=3"),
+        (
+            "verify-properties",
+            "e0.1.lead_in lead_in 0 1 -",
+            "e0.1.lead_in lead_in 0 0 -",
+            "a lead_in role needs an edge, a group of at least 1, no vertex",
+        ),
+    ],
+)
+def test_a_role_no_generator_writes_is_refused_at_its_line(tmp_path, capsys, command, old, new, what):
+    # Each of these roles once passed: a wrong diagnostics CSV, a vertex set
+    # of None or of a vertex the graph lacks, or (a)-(f) all passing.
+    red, svc = tmp_path / "p3.reduction", tmp_path / "p3.service"
+    assert main(["gen", "--graph", "P3", "--model", "fault", "--H", "1", "--out", str(red)]) == 0
+    assert main(["construct", "--in", str(red), "--vertices", "0", "--out", str(svc)]) == 0
+    lines = red.read_text().splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    red.write_text("\n".join(lines) + "\n")
+    extra = [] if command == "verify-properties" else ["--service", str(svc)]
+    assert main([command, "--in", str(red), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line {at + 1}: {what}\n"
 
 
 def test_corpus_command_writes_csv(tmp_path, capsys):

@@ -114,10 +114,15 @@ def test_request_index_is_shared_and_read_only():
     with pytest.raises(TypeError):
         index["c"] = (0,)
     assert {pid: tuple(pos) for pid, pos in index.items()} == {"b": (0, 2), "a": (1,)}
-    # "a" is requested once: stored as its position, read as an array.
+    # "a" is requested once: one array, the same on every read, like every page.
     assert index["a"] == array("i", [1]) and "a" in index and index.get("c") is None
+    assert index["a"] is index["a"] and index.get("a") is index["a"]
+    with pytest.raises(KeyError):
+        index["c"]
+    # The index does not travel with a copy, which builds its own when asked.
     for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
-        assert copied == inst and request_positions(copied) == index
+        assert copied == inst and "_positions" not in vars(copied)
+        assert request_positions(copied) == index
 
 
 def test_slotted_records_survive_pickle_and_deepcopy():

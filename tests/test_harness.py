@@ -63,6 +63,17 @@ def test_independent_set_oracle_edge_cases():
     assert max_independent_set(Graph(n, ())) == (n, frozenset(range(n)))
 
 
+def test_round_trip_refuses_past_the_oracle_guard_before_generating(monkeypatch):
+    # P25's default H is 3,676: generating it first ran out of memory under
+    # a 2 GB address-space cap, where the oracle refuses at once.
+    def never(*args):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(harness, "generate", never)
+    with pytest.raises(BudgetExceeded, match="25 vertices exceed the oracle guard of 24"):
+        round_trip(Graph(25, tuple((v, v + 1) for v in range(24))), "fault")
+
+
 def test_round_trip_simple_is_exact():
     report = round_trip(CORPUS["K2"], "simple", graph_id="K2")
     assert report.verdict == "pass"

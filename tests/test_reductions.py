@@ -22,6 +22,7 @@ from gencaching import (
     MODEL_FAULT,
     MODEL_SIMPLE,
     OPTIONAL,
+    PageRole,
     Service,
     UnknownGapError,
     default_H,
@@ -131,6 +132,23 @@ def test_sidecar_edge_errors_name_their_line(edges, what):
     text = text.replace("graph 2 1\nedge 0 1\n", f"graph 2 {m}\n{edges}")
     with pytest.raises(FormatError, match=f"line {graph_line + m}: {what}"):
         reduction_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "fields, what",
+    [
+        (("vertex", 0, 1, 0), "a vertex role needs a vertex and no edge or group"),
+        (("vertex", None, None, None), "a vertex role needs a vertex and no edge or group"),
+        (("vertex", None, None, -1), "a vertex role needs a vertex and no edge or group"),
+        (("lead_in", None, 1, None), "a lead_in role needs an edge, a group of at least 1, no vertex"),
+        (("lead_in", 0, 0, None), "a lead_in role needs an edge, a group of at least 1, no vertex"),
+        (("wide_back", 0, 1, 2), "a wide_back role needs an edge, a group of at least 1, no vertex"),
+        (("carry", 0, 1, None), "unknown role 'carry'"),
+    ],
+)
+def test_page_role_refuses_fields_no_generator_writes(fields, what):
+    with pytest.raises(InstanceError, match=f"^{what}$"):
+        PageRole(*fields)
 
 
 # --- group count heuristic ----------------------------------------------------
